@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race serve-race fleet-race fleet-chaos bench bench-smoke cover fuzz calibrate
+.PHONY: check fmt vet build test race serve-race fleet-race fleet-chaos bench bench-smoke perfbench-selftest cover fuzz calibrate
 
 # Fuzz budget per target; override with `make fuzz FUZZTIME=1m`.
 FUZZTIME ?= 10s
@@ -61,8 +61,12 @@ fleet-chaos:
 # the checked-in baseline (BenchmarkDPCoreParallel sizes its worker pool
 # from GOMAXPROCS). For the multi-core scaling sweep run
 # `go test -bench=BenchmarkDPCoreParallel -cpu 1,2,4 ./internal/opt`.
+# BenchmarkFacadeCold is the public facade over a mixed 3-10 relation cold
+# workload; its B/op and allocs/op track what one served plan costs the
+# heap on the pooled-session path.
 bench:
 	$(GO) test -bench='BenchmarkDPCore|BenchmarkTieredPlanning' -benchmem -cpu=1 -run=^$$ ./internal/opt
+	$(GO) test -bench='BenchmarkFacadeCold' -benchmem -cpu=1 -run=^$$ ./lec
 
 # Combined coverage over the optimizer core, the serving layer, the
 # observability package, and the calibration harness; fails below
@@ -82,6 +86,12 @@ bench-smoke:
 	$(GO) test -bench='BenchmarkDPCore|BenchmarkTieredPlanning' -benchmem -cpu=1 -run=^$$ ./internal/opt > /tmp/lec-bench-cur.txt; \
 		status=$$?; cat /tmp/lec-bench-cur.txt; exit $$status
 	$(GO) run ./cmd/benchsmoke -base internal/opt/testdata/dpcore_bench_baseline.txt -cur /tmp/lec-bench-cur.txt
+
+# The end-to-end benchmark's determinism self-test (about 6 s): each
+# workload run twice at a small size must repeat its effort counts exactly.
+# perfbench is a module of its own, so `make test` does not reach it.
+perfbench-selftest:
+	cd perfbench && $(GO) test ./...
 
 # Closed-loop calibration on the seeded skewed workload: optimize, execute,
 # measure q-error and P-error against the true-statistics oracle, feed the

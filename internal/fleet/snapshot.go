@@ -79,6 +79,15 @@ func (n *Node) noteServed(key string, req serve.Request, resp *serve.Response) {
 	if resp == nil || resp.Decision == nil || resp.Pinned || resp.Decision.Degraded {
 		return
 	}
+	// A key fingerprints its whole spec, so a recorded key needs no
+	// rebuild; skipping it keeps cache hits from re-rendering the SQL.
+	n.warmMu.Lock()
+	_, seen := n.warmSet[key]
+	full := len(n.warmSet) >= n.cfg.SnapshotLimit
+	n.warmMu.Unlock()
+	if seen || full {
+		return
+	}
 	wreq, err := newLookupRequest(key, req, 0)
 	if err != nil {
 		return

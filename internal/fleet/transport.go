@@ -210,7 +210,9 @@ func (r *LookupRequest) toServe() (serve.Request, error) {
 		SelectionSels: r.SelSels,
 	}
 	if len(r.MemVals) > 0 {
-		m, err := stats.New(r.MemVals, r.MemProbs)
+		// The requester's distribution is already normalized; rebuilding it
+		// bit for bit keeps the request key identical on both sides.
+		m, err := stats.FromNormalized(r.MemVals, r.MemProbs)
 		if err != nil {
 			return out, fmt.Errorf("fleet: bad memory distribution on the wire: %w", err)
 		}

@@ -276,6 +276,10 @@ type Context struct {
 	stopCause     error
 	pollCountdown int
 	nonFiniteMark int
+	// interrupted is the sticky form of stopCause: it survives the reset
+	// at the next beginRun, so a multi-run session that was ever
+	// interrupted is never recycled (see session.go).
+	interrupted bool
 
 	// par points at the shared state of a level-synchronized parallel run
 	// (see pardp.go); nil in sequential mode, so the hot paths pay one nil
@@ -417,7 +421,9 @@ func (ctx *Context) buildJoinIndex() {
 }
 
 // stepPreds returns the predicates connecting relation j to subset s —
-// query.JoinsBetween(s, j) computed from the session index.
+// query.JoinsBetween(s, j) computed from the session index — in a slice
+// carved from the session arena. In a parallel run the caller holds the
+// arena lock.
 func (ctx *Context) stepPreds(s query.RelSet, j int) []query.JoinPred {
 	cnt := 0
 	for _, rp := range ctx.relPreds[j] {
@@ -425,10 +431,7 @@ func (ctx *Context) stepPreds(s query.RelSet, j int) []query.JoinPred {
 			cnt++
 		}
 	}
-	if cnt == 0 {
-		return nil
-	}
-	out := make([]query.JoinPred, 0, cnt)
+	out := ctx.arena.Preds(cnt)[:0]
 	for _, rp := range ctx.relPreds[j] {
 		if s.Has(rp.other) {
 			out = append(out, ctx.Q.Joins[rp.idx])
@@ -607,20 +610,26 @@ func (ctx *Context) NewJoin(left plan.Node, right *plan.Scan, m cost.Method, s q
 	var jn *plan.Join
 	var isNew bool
 	if p := ctx.par; p != nil {
-		// The lock covers only the intern probe. Filling the estimate fields
-		// outside it is safe: within a level exactly one task interns each
-		// candidate structure (a left-deep node's (S\{j}, j, method) key
-		// determines S), so no other worker touches a node until the level
-		// barrier publishes it.
+		// The lock covers the intern probe and the predicate list, which is
+		// carved from the arena. Filling the estimate fields outside it is
+		// safe: within a level exactly one task interns each candidate
+		// structure (a left-deep node's (S\{j}, j, method) key determines
+		// S), so no other worker touches a node until the level barrier
+		// publishes it.
 		p.arenaMu.Lock()
 		jn, isNew = ctx.arena.Join(left, right, m)
+		if isNew {
+			jn.Preds = ctx.stepPreds(s.Without(j), j)
+		}
 		p.arenaMu.Unlock()
 	} else {
 		jn, isNew = ctx.arena.Join(left, right, m)
+		if isNew {
+			jn.Preds = ctx.stepPreds(s.Without(j), j)
+		}
 	}
 	if isNew {
 		ctx.Count.PlansBuilt++
-		jn.Preds = ctx.stepPreds(s.Without(j), j)
 		jn.Selectivity = ctx.stepSel(s.Without(j), j)
 		jn.Pages = ctx.SubsetPages(s)
 		jn.Rows = ctx.SubsetRows(s)

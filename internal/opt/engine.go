@@ -195,6 +195,12 @@ type Optimizer struct {
 	// tier is the current run's tiered-planning outcome (see tier.go);
 	// reset at the top of every optimizeCtxInner.
 	tier tierState
+
+	// sc is the pooled scratch the session runs on when its first run's
+	// context came from Pooled (see session.go); adopted marks that the
+	// first run has looked.
+	sc      *scratch
+	adopted bool
 }
 
 // NewOptimizer builds an engine for one query under one configuration.

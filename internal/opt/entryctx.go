@@ -242,6 +242,7 @@ func algorithmBCandidatesCtx(rc context.Context, cat *catalog.Catalog, q *query.
 	if err != nil {
 		return nil, Counters{}, nil, deg, err
 	}
+	eng.adopt(rc)
 	eng.ctx.beginRun(rc)
 	// The session never passes through OptimizeCtx, so the run is flushed
 	// to the metrics bundle here, whatever path exits the bucket loop.

@@ -178,17 +178,23 @@ func (ctx *Context) newBushyJoin(left, right plan.Node, m cost.Method, s query.R
 	var jn *plan.Join
 	var isNew bool
 	if p := ctx.par; p != nil {
-		// Intern-probe-only lock; see NewJoin. A bushy node's (l, r, method)
-		// key determines S = l ∪ r, so one task per level owns each node.
+		// The lock covers the intern probe and the predicate list; see
+		// NewJoin. A bushy node's (l, r, method) key determines S = l ∪ r,
+		// so one task per level owns each node.
 		p.arenaMu.Lock()
 		jn, isNew = ctx.arena.Join(left, right, m)
+		if isNew {
+			jn.Preds = ctx.predsBetween(left.Rels(), right.Rels())
+		}
 		p.arenaMu.Unlock()
 	} else {
 		jn, isNew = ctx.arena.Join(left, right, m)
+		if isNew {
+			jn.Preds = ctx.predsBetween(left.Rels(), right.Rels())
+		}
 	}
 	if isNew {
 		ctx.Count.PlansBuilt++
-		jn.Preds = ctx.predsBetween(left.Rels(), right.Rels())
 		jn.Selectivity = ctx.selBetween(left.Rels(), right.Rels())
 		jn.Pages = ctx.SubsetPages(s)
 		jn.Rows = ctx.SubsetRows(s)
@@ -197,15 +203,22 @@ func (ctx *Context) newBushyJoin(left, right plan.Node, m cost.Method, s query.R
 }
 
 // predsBetween returns the join predicates with one side in a and the
-// other in b.
+// other in b, in a slice carved from the session arena. In a parallel run
+// the caller holds the arena lock.
 func (ctx *Context) predsBetween(a, b query.RelSet) []query.JoinPred {
-	var out []query.JoinPred
-	for pi, sides := range ctx.predSides {
+	between := func(sides [2]int) bool {
 		li, ri := sides[0], sides[1]
-		if li < 0 || ri < 0 {
-			continue
+		return li >= 0 && ri >= 0 && ((a.Has(li) && b.Has(ri)) || (a.Has(ri) && b.Has(li)))
+	}
+	cnt := 0
+	for _, sides := range ctx.predSides {
+		if between(sides) {
+			cnt++
 		}
-		if (a.Has(li) && b.Has(ri)) || (a.Has(ri) && b.Has(li)) {
+	}
+	out := ctx.arena.Preds(cnt)[:0]
+	for pi, sides := range ctx.predSides {
+		if between(sides) {
 			out = append(out, ctx.Q.Joins[pi])
 		}
 	}

@@ -145,6 +145,7 @@ func (ctx *Context) interrupt(cause error) {
 	if ctx.stopCause == nil {
 		ctx.stopCause = cause
 	}
+	ctx.interrupted = true
 	if p := ctx.par; p != nil {
 		p.setCause(cause)
 	}
@@ -341,6 +342,7 @@ func (o *Optimizer) OptimizeCtx(rc context.Context) (*Result, error) {
 
 func (o *Optimizer) optimizeCtxInner(rc context.Context) (*Result, error) {
 	o.tier = tierState{}
+	o.adopt(rc)
 	o.ctx.beginRun(rc)
 	if o.ctx.Opts.Tier != TierDP {
 		if res, served := o.tierGate(); served {

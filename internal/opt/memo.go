@@ -34,6 +34,32 @@ type floatMemo struct {
 	probe  bool
 	dense  []float64
 	sparse *sparseTab[float64]
+	spare  []float64 // recycled dense backing (see session.go), or nil
+}
+
+// newDense returns a NaN-filled dense table, reusing the recycled backing
+// when it is large enough.
+func (fm *floatMemo) newDense() []float64 {
+	size := 1 << uint(fm.sz.n)
+	d := fm.spare
+	fm.spare = nil
+	if cap(d) < size {
+		d = make([]float64, size)
+	}
+	d = d[:size]
+	for i := range d {
+		d[i] = math.NaN()
+	}
+	return d
+}
+
+// backing returns the dense storage the memo holds, used or spare, for
+// recycling.
+func (fm *floatMemo) backing() []float64 {
+	if fm.dense != nil {
+		return fm.dense
+	}
+	return fm.spare
 }
 
 func newFloatMemo(sz memoSizing) *floatMemo { return &floatMemo{sz: sz} }
@@ -47,10 +73,7 @@ func (fm *floatMemo) settle() {
 	if fm.sparse == nil || !fm.sz.dense {
 		return
 	}
-	d := make([]float64, 1<<uint(fm.sz.n))
-	for i := range d {
-		d[i] = math.NaN()
-	}
+	d := fm.newDense()
 	for i, k := range fm.sparse.keys {
 		if k != 0 {
 			d[k-1] = fm.sparse.vals[i]
@@ -76,11 +99,7 @@ func (fm *floatMemo) put(s query.RelSet, v float64) {
 		case fm.probe:
 			fm.sparse = newSparseTab[float64](fm.sz.n * fm.sz.n)
 		case fm.sz.dense:
-			d := make([]float64, 1<<uint(fm.sz.n))
-			for i := range d {
-				d[i] = math.NaN()
-			}
-			fm.dense = d
+			fm.dense = fm.newDense()
 		default:
 			fm.sparse = newSparseTab[float64](fm.sz.predict)
 		}

@@ -260,6 +260,7 @@ func (o *Optimizer) runLevelSync(workers int, bushy bool) (*Result, error) {
 	}
 	if cause := p.firstCause(); cause != nil && ctx.stopCause == nil {
 		ctx.stopCause = cause
+		ctx.interrupted = true
 	}
 	if metricsOn {
 		ctx.metrics.WorkerBusySeconds.Add(float64(p.busyNanos.Load()) / 1e9)

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"unsafe"
+
 	"repro/internal/cost"
 	"repro/internal/query"
 )
@@ -20,8 +22,13 @@ import (
 // method) into one uint64 — probed through an open-addressed table rather
 // than a runtime map, because the DP constructs thousands of candidates per
 // run and the map's per-entry buckets dominated the allocation profile.
-// Join nodes themselves are carved out of fixed-size slabs for the same
-// reason.
+// Join nodes themselves, and the predicate lists the optimizer attaches to
+// them, are carved out of fixed-size slabs for the same reason.
+//
+// The arena keeps every slab it carved, so Reset can rewind it for another
+// session without giving the memory back: a caller that has copied out the
+// nodes it wants to keep (see Detach) recycles the tables and slabs instead
+// of reallocating them for the next query.
 type Arena struct {
 	table []arenaSlot // open-addressed, power-of-two length
 	count int         // interned joins
@@ -29,13 +36,70 @@ type Arena struct {
 	hits  int
 
 	nextID uint32 // last assigned node id (ids start at 1)
-	slab   []Join // tail of the current allocation chunk
+	joins  slabs[Join]
 
 	sortTable []sortSlot // open-addressed, power-of-two length
 	sortCount int
 	sortShift uint
 	sortCols  []query.ColumnRef // distinct sort columns seen (almost always one)
-	sortSlab  []Sort
+	sorts     slabs[Sort]
+
+	preds slabs[query.JoinPred]
+}
+
+// slabs is a bump allocator over chunks that are kept for reuse:
+// chunks[:cur] are full, chunks[cur][:used] is the current chunk's carved
+// prefix. The first chunks are a sixteenth, an eighth, a quarter and a half
+// of the full size, so a session that builds a few dozen nodes (a greedy
+// plan, a small query) does not zero a full slab.
+type slabs[T any] struct {
+	chunks [][]T
+	cur    int
+	used   int
+}
+
+// take carves n contiguous zeroed elements from chunks of at most maxChunk.
+// Requests larger than that get a private allocation the arena does not
+// keep.
+func (s *slabs[T]) take(n, maxChunk int) []T {
+	if n > maxChunk {
+		return make([]T, n)
+	}
+	for s.cur < len(s.chunks) && s.used+n > len(s.chunks[s.cur]) {
+		s.cur++
+		s.used = 0
+	}
+	if s.cur == len(s.chunks) {
+		size := maxChunk
+		if k := len(s.chunks); k < 4 {
+			size = max(maxChunk>>(4-k), n)
+		}
+		s.chunks = append(s.chunks, make([]T, size))
+	}
+	out := s.chunks[s.cur][s.used : s.used+n : s.used+n]
+	s.used += n
+	return out
+}
+
+// reset zeroes the carved elements, so recycled chunks pin nothing, and
+// rewinds to the first chunk.
+func (s *slabs[T]) reset() {
+	for i := 0; i < s.cur && i < len(s.chunks); i++ {
+		clear(s.chunks[i])
+	}
+	if s.cur < len(s.chunks) {
+		clear(s.chunks[s.cur][:s.used])
+	}
+	s.cur, s.used = 0, 0
+}
+
+// capacity returns the number of elements the kept chunks hold.
+func (s *slabs[T]) capacity() int {
+	c := 0
+	for _, ch := range s.chunks {
+		c += len(ch)
+	}
+	return c
 }
 
 type arenaSlot struct {
@@ -51,6 +115,8 @@ type sortSlot struct {
 const (
 	arenaInitSlots = 1 << 10
 	arenaSlabSize  = 256
+	sortSlabSize   = 64
+	predSlabSize   = 64
 )
 
 // NewArena returns an empty arena.
@@ -105,11 +171,7 @@ func (a *Arena) Join(left, right Node, m cost.Method) (j *Join, isNew bool) {
 		}
 		i = (i + 1) & mask
 	}
-	if len(a.slab) == 0 {
-		a.slab = make([]Join, arenaSlabSize)
-	}
-	j = &a.slab[0]
-	a.slab = a.slab[1:]
+	j = &a.joins.take(1, arenaSlabSize)[0]
 	j.Left, j.Right, j.Method = left, right, m
 	// Force the Rels memo while the arena still owns the node: under a
 	// parallel run the arena is lock-protected, but returned nodes are read
@@ -180,11 +242,7 @@ func (a *Arena) Sort(input Node, col query.ColumnRef) (s *Sort, isNew bool) {
 		}
 		i = (i + 1) & mask
 	}
-	if len(a.sortSlab) == 0 {
-		a.sortSlab = make([]Sort, 64)
-	}
-	s = &a.sortSlab[0]
-	a.sortSlab = a.sortSlab[1:]
+	s = &a.sorts.take(1, sortSlabSize)[0]
 	s.Input, s.Key_ = input, col
 	a.nextID++
 	s.aid = a.nextID
@@ -223,3 +281,38 @@ func (a *Arena) Size() int { return a.count + a.sortCount }
 
 // Hits returns how many node constructions were served from the arena.
 func (a *Arena) Hits() int { return a.hits }
+
+// Preds returns a zeroed, full-capacity slice of n join predicates carved
+// from the arena's predicate slabs, for the Preds field of a join the arena
+// built. Like the nodes, it is recycled by Reset.
+func (a *Arena) Preds(n int) []query.JoinPred {
+	if n == 0 {
+		return nil
+	}
+	return a.preds.take(n, predSlabSize)
+}
+
+// Reset empties the arena for a new session while keeping its tables and
+// slabs. Every node and predicate slice the arena handed out is zeroed and
+// will be handed out again, so the caller must hold no reference into the
+// arena: copy out any plan it keeps with Detach first.
+func (a *Arena) Reset() {
+	clear(a.table)
+	a.count, a.hits, a.nextID = 0, 0, 0
+	a.joins.reset()
+	clear(a.sortTable)
+	a.sortCount = 0
+	a.sortCols = a.sortCols[:0]
+	a.sorts.reset()
+	a.preds.reset()
+}
+
+// Bytes approximates the memory the arena retains: its intern tables and
+// every slab it has carved, whether or not the current session used them.
+func (a *Arena) Bytes() int {
+	return len(a.table)*int(unsafe.Sizeof(arenaSlot{})) +
+		len(a.sortTable)*int(unsafe.Sizeof(sortSlot{})) +
+		a.joins.capacity()*int(unsafe.Sizeof(Join{})) +
+		a.sorts.capacity()*int(unsafe.Sizeof(Sort{})) +
+		a.preds.capacity()*int(unsafe.Sizeof(query.JoinPred{}))
+}

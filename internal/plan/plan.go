@@ -262,10 +262,18 @@ func NumJoins(n Node) int {
 	return count
 }
 
-// Walk visits the tree bottom-up, left to right.
+// Walk visits the tree bottom-up, left to right. It switches on the node
+// type rather than ranging over children(), whose slice would cost one
+// allocation per inner node on every cost evaluation of a finished plan.
 func Walk(n Node, f func(Node)) {
-	for _, c := range n.children() {
-		Walk(c, f)
+	switch v := n.(type) {
+	case *Join:
+		Walk(v.Left, f)
+		Walk(v.Right, f)
+	case *Sort:
+		Walk(v.Input, f)
+	case *Aggregate:
+		Walk(v.Input, f)
 	}
 	f(n)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"container/list"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -50,6 +51,8 @@ const (
 // the configuration is on fire. After Cooldown one probe is let through;
 // its outcome closes or re-opens the breaker.
 type breaker struct {
+	key string // registry key, for eviction
+
 	mu       sync.Mutex
 	state    breakerState
 	failures int
@@ -58,10 +61,21 @@ type breaker struct {
 	lastGood *lec.Decision
 }
 
-// breakerSet is the service's keyed breaker registry.
+// minBreakers is the breaker registry's bound when the plan cache is
+// smaller or disabled.
+const minBreakers = 64
+
+// breakerSet is the service's keyed breaker registry. It is bounded by
+// limit, max(CacheCapacity, minBreakers): a new breaker beyond it evicts
+// closed, zero-failure breakers, least recently used first. Such a breaker
+// carries nothing but its last-good plan. Open, half-open and failing
+// breakers are never evicted, so the registry outgrows limit only by the
+// configurations that are misbehaving right now.
 type breakerSet struct {
 	mu     sync.Mutex
-	m      map[string]*breaker
+	m      map[string]*list.Element // of *breaker
+	lru    list.List                // least recently used at the front
+	limit  int
 	trips  atomic.Int64
 	resets atomic.Int64
 }
@@ -69,12 +83,43 @@ type breakerSet struct {
 func (bs *breakerSet) get(key string) *breaker {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
-	b, ok := bs.m[key]
-	if !ok {
-		b = &breaker{}
-		bs.m[key] = b
+	if e, ok := bs.m[key]; ok {
+		bs.lru.MoveToBack(e)
+		return e.Value.(*breaker)
 	}
+	b := &breaker{key: key}
+	bs.m[key] = bs.lru.PushBack(b)
+	bs.evict()
 	return b
+}
+
+// evict drops idle breakers, oldest first, until the registry is within
+// its limit or only busy breakers and the newest one remain.
+func (bs *breakerSet) evict() {
+	newest := bs.lru.Back()
+	for e := bs.lru.Front(); e != newest && len(bs.m) > bs.limit; {
+		next := e.Next()
+		if b := e.Value.(*breaker); b.idle() {
+			bs.lru.Remove(e)
+			delete(bs.m, b.key)
+		}
+		e = next
+	}
+}
+
+// size returns the number of registered breakers.
+func (bs *breakerSet) size() int {
+	bs.mu.Lock()
+	defer bs.mu.Unlock()
+	return len(bs.m)
+}
+
+// idle reports whether the breaker is closed with no failures recorded, so
+// forgetting it loses nothing but its last-good plan.
+func (b *breaker) idle() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state == breakerClosed && b.failures == 0 && !b.probing
 }
 
 func (bs *breakerSet) counts() (trips, resets int64) {

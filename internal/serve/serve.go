@@ -26,6 +26,7 @@
 package serve
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -226,7 +227,8 @@ func New(cat *catalog.Catalog, cfg Config) *Service {
 		queue: make(chan struct{}, cfg.QueueDepth),
 		clock: time.Now,
 	}
-	s.breakers.m = make(map[string]*breaker)
+	s.breakers.m = make(map[string]*list.Element)
+	s.breakers.limit = max(cfg.CacheCapacity, minBreakers)
 	s.backoff = newJitter(cfg.Retry.Seed)
 	s.runner = s.run
 	s.m = newServeMetrics(cfg.Metrics, s)

@@ -73,7 +73,7 @@ type token struct {
 // lex tokenizes the input. Keywords stay tokIdent; the parser matches them
 // case-insensitively.
 func lex(input string) ([]token, error) {
-	var out []token
+	out := make([]token, 0, tokenBound(input))
 	i := 0
 	for i < len(input) {
 		c := rune(input[i])
@@ -134,6 +134,29 @@ func lex(input string) ([]token, error) {
 	}
 	out = append(out, token{kind: tokEOF, pos: len(input)})
 	return out, nil
+}
+
+// tokenBound returns an upper bound on the number of tokens lex emits, so
+// the token slice is allocated once instead of growing by doubling: every
+// token starts at a punctuation byte or at a byte that follows a space or
+// punctuation, and EOF adds one.
+func tokenBound(input string) int {
+	n, prevSep := 1, true
+	for i := 0; i < len(input); i++ {
+		switch c := input[i]; {
+		case unicode.IsSpace(rune(c)):
+			prevSep = true
+		case strings.IndexByte(",.*=<>-", c) >= 0:
+			n++
+			prevSep = true
+		default:
+			if prevSep {
+				n++
+			}
+			prevSep = false
+		}
+	}
+	return n
 }
 
 // isKeyword reports whether the token is the given keyword

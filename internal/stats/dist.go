@@ -91,6 +91,43 @@ func New(vals, weights []float64) (*Dist, error) {
 	return d, nil
 }
 
+// FromNormalized builds a distribution from values and probabilities that
+// already hold the Dist invariants, keeping every bit as given: the support
+// must be finite and strictly ascending, and the probabilities positive and
+// summing to 1 within 1e-9. New would renormalize the probabilities, which
+// can move one by an ulp; FromNormalized is for rebuilding a distribution
+// that crossed a wire or a file, where the copy must be bit-identical to
+// the original.
+func FromNormalized(vals, probs []float64) (*Dist, error) {
+	if len(vals) != len(probs) {
+		return nil, fmt.Errorf("stats: %d values but %d probabilities", len(vals), len(probs))
+	}
+	if len(vals) == 0 {
+		return nil, ErrEmpty
+	}
+	total := 0.0
+	for i, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("stats: non-finite value %v", v)
+		}
+		if i > 0 && v <= vals[i-1] {
+			return nil, fmt.Errorf("stats: support not strictly ascending at %d", i)
+		}
+		p := probs[i]
+		if !(p > 0) || math.IsInf(p, 0) {
+			return nil, fmt.Errorf("stats: bad probability %v for value %v", p, v)
+		}
+		total += p
+	}
+	if math.Abs(total-1) > probEps {
+		return nil, fmt.Errorf("stats: probabilities sum to %v, not 1", total)
+	}
+	return &Dist{
+		vals:  append([]float64(nil), vals...),
+		probs: append([]float64(nil), probs...),
+	}, nil
+}
+
 // MustNew is like New but panics on error. Intended for fixtures and tests
 // where the inputs are literals.
 func MustNew(vals, weights []float64) *Dist {

@@ -32,11 +32,12 @@ func (o *Optimizer) OptimizeRiskAverse(q *query.SPJ, env Environment, gamma floa
 	if err != nil {
 		return nil, err
 	}
+	p := plan.Detach(res.Plan)
 	return &Decision{
 		Strategy:     AlgorithmC, // risk-adjusted variant of the LEC DP
-		Plan:         res.Plan,
-		ExpectedCost: o.expectedCost(res, q, env),
-		Risk:         opt.NewRiskProfile(res.Plan, env.Memory),
+		Plan:         p,
+		ExpectedCost: o.expectedCost(p, q, env),
+		Risk:         opt.NewRiskProfile(p, env.Memory),
 		Query:        q,
 		env:          env,
 	}, nil

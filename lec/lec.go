@@ -96,14 +96,15 @@ func (e Environment) validate() error { return validateEnvironment(e) }
 // Optimizer optimizes queries against one catalog.
 //
 // Concurrency: an Optimizer is safe for concurrent use. Every Optimize*,
-// Compare* and OptimizeSearch* call builds a fresh search-engine session —
-// memo tables, plan arena and budget meter are all per-call — so concurrent
-// optimizations share nothing but the catalog and options, which these
-// methods only read. The one rule callers must keep: do not mutate the
-// catalog (or a query block passed to a call) while optimizations are in
-// flight. A server refreshing statistics at run time needs external
-// coordination — internal/serve provides exactly that (a read/write lock
-// plus cache invalidation); see also cmd/lecd.
+// Compare* and OptimizeSearch* call builds its own search-engine session —
+// memo tables, plan arena and budget meter are all per-call, the scratch
+// behind them taken from a locked pool and returned once the plan is
+// detached — so concurrent optimizations share nothing but the catalog and
+// options, which these methods only read. The one rule callers must keep:
+// do not mutate the catalog (or a query block passed to a call) while
+// optimizations are in flight. A server refreshing statistics at run time
+// needs external coordination — internal/serve provides exactly that (a
+// read/write lock plus cache invalidation); see also cmd/lecd.
 type Optimizer struct {
 	cat  *catalog.Catalog
 	opts opt.Options
@@ -214,7 +215,18 @@ func (o *Optimizer) Optimize(q *query.SPJ, env Environment, s Strategy) (*Decisi
 // degradation ladder is returned with Decision.Degraded set. Errors are
 // reserved for invalid inputs (see the Err* sentinels) and for interrupted
 // runs where not even the fallback could plan.
+//
+// The Decision's plan is detached from the search session (plan.Detach),
+// and the session's scratch goes back to a bounded pool for the next call.
 func (o *Optimizer) OptimizeContext(ctx context.Context, q *query.SPJ, env Environment, s Strategy) (d *Decision, err error) {
+	rc, release := opt.Pooled(ctx)
+	defer func() { release(err == nil) }()
+	return o.optimizeContext(rc, q, env, s)
+}
+
+// optimizeContext is OptimizeContext without the session pooling: under an
+// unpooled context every engine session allocates fresh scratch.
+func (o *Optimizer) optimizeContext(ctx context.Context, q *query.SPJ, env Environment, s Strategy) (d *Decision, err error) {
 	defer recoverToInternal(&err)
 	if err := env.validate(); err != nil {
 		return nil, err
@@ -255,13 +267,16 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, q *query.SPJ, env Envir
 	return o.newDecision(s, res, q, env), nil
 }
 
-// newDecision assembles the public Decision from an engine Result.
+// newDecision assembles the public Decision from an engine Result. The plan
+// is detached from the session, so a retained Decision keeps O(n) nodes
+// reachable rather than the whole search.
 func (o *Optimizer) newDecision(s Strategy, res *opt.Result, q *query.SPJ, env Environment) *Decision {
+	p := plan.Detach(res.Plan)
 	return &Decision{
 		Strategy:      s,
-		Plan:          res.Plan,
-		ExpectedCost:  o.expectedCost(res, q, env),
-		Risk:          opt.NewRiskProfile(res.Plan, env.Memory),
+		Plan:          p,
+		ExpectedCost:  o.expectedCost(p, q, env),
+		Risk:          opt.NewRiskProfile(p, env.Memory),
 		Query:         q,
 		Stats:         res.Count,
 		Degraded:      res.Degraded,
@@ -293,11 +308,12 @@ func (o *Optimizer) optimizeAggregate(ctx context.Context, q *query.SPJ, env Env
 	if err != nil {
 		return nil, classifyErr(err)
 	}
+	p := plan.Detach(res.Plan)
 	return &Decision{
 		Strategy:      s,
-		Plan:          res.Plan,
-		ExpectedCost:  plan.ExpCost(res.Plan, env.Memory),
-		Risk:          opt.NewRiskProfile(res.Plan, env.Memory),
+		Plan:          p,
+		ExpectedCost:  plan.ExpCost(p, env.Memory),
+		Risk:          opt.NewRiskProfile(p, env.Memory),
 		Query:         q,
 		Stats:         res.Count,
 		Degraded:      res.Degraded,
@@ -312,13 +328,13 @@ func (o *Optimizer) optimizeAggregate(ctx context.Context, q *query.SPJ, env Env
 }
 
 // expectedCost normalizes every strategy's reported objective to the
-// comparable E[Φ] under the environment (dynamic environments use the
-// per-phase marginals).
-func (o *Optimizer) expectedCost(res *opt.Result, q *query.SPJ, env Environment) float64 {
+// comparable E[Φ] of plan p under the environment (dynamic environments use
+// the per-phase marginals).
+func (o *Optimizer) expectedCost(p plan.Node, q *query.SPJ, env Environment) float64 {
 	if env.Chain != nil {
-		return plan.ExpCostPhased(res.Plan, opt.PhaseDistsFor(q, env.Chain, env.Memory))
+		return plan.ExpCostPhased(p, opt.PhaseDistsFor(q, env.Chain, env.Memory))
 	}
-	return plan.ExpCost(res.Plan, env.Memory)
+	return plan.ExpCost(p, env.Memory)
 }
 
 // OptimizeSQL parses, binds and optimizes a SQL string with AlgorithmC —
@@ -457,8 +473,11 @@ func (o *Optimizer) OptimizeSearch(q *query.SPJ, env Environment, search Search)
 }
 
 // OptimizeSearchContext is OptimizeSearch under a request context and
-// budget, with the same fail-soft contract as OptimizeContext.
+// budget, with the same fail-soft contract and session pooling as
+// OptimizeContext.
 func (o *Optimizer) OptimizeSearchContext(ctx context.Context, q *query.SPJ, env Environment, search Search) (d *Decision, err error) {
+	ctx, release := opt.Pooled(ctx)
+	defer func() { release(err == nil) }()
 	defer recoverToInternal(&err)
 	if err := env.validate(); err != nil {
 		return nil, err
