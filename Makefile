@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race serve-race fleet-race fleet-chaos bench bench-smoke perfbench-selftest cover fuzz calibrate
+.PHONY: check fmt vet build test race serve-race fleet-race fleet-chaos bench bench-run bench-smoke perfbench-selftest cover fuzz calibrate
 
 # Fuzz budget per target; override with `make fuzz FUZZTIME=1m`.
 FUZZTIME ?= 10s
@@ -63,10 +63,20 @@ fleet-chaos:
 # `go test -bench=BenchmarkDPCoreParallel -cpu 1,2,4 ./internal/opt`.
 # BenchmarkFacadeCold is the public facade over a mixed 3-10 relation cold
 # workload; its B/op and allocs/op track what one served plan costs the
-# heap on the pooled-session path.
+# heap on the pooled-session path. BenchmarkServeHit and
+# BenchmarkFleetPeerHit are the warm hit paths: a plan-cache hit in one
+# serve.Service, and a peer hit across a two-node loopback fleet.
 bench:
 	$(GO) test -bench='BenchmarkDPCore|BenchmarkTieredPlanning' -benchmem -cpu=1 -run=^$$ ./internal/opt
 	$(GO) test -bench='BenchmarkFacadeCold' -benchmem -cpu=1 -run=^$$ ./lec
+	$(GO) test -bench='BenchmarkServeHit' -benchmem -cpu=1 -run=^$$ ./internal/serve
+	$(GO) test -bench='BenchmarkFleetPeerHit' -benchmem -cpu=1 -run=^$$ ./internal/fleet
+
+# Every Go benchmark in the optimizer, facade, serving and fleet packages,
+# run once each: a compile-and-run check so benchmark code cannot rot. It
+# gates on nothing timing-related.
+bench-run:
+	$(GO) test -run=^$$ -bench=. -benchtime=1x ./lec ./internal/serve ./internal/fleet ./internal/opt
 
 # Combined coverage over the optimizer core, the serving layer, the
 # observability package, and the calibration harness; fails below

@@ -162,14 +162,15 @@ func ToWire(r *serve.Response) WireResponse {
 }
 
 // newLookupRequest flattens one canonicalized serve request. The request
-// must carry a bound Query (Service.Canonicalize guarantees it).
+// must carry a bound Query and key must be the request key
+// Service.Canonicalize returned with it.
 func newLookupRequest(key string, req serve.Request, gen uint64) (*LookupRequest, error) {
 	if req.Query == nil {
 		return nil, fmt.Errorf("fleet: request not canonicalized")
 	}
 	out := &LookupRequest{
 		Key:        key,
-		SQL:        req.Query.String(),
+		SQL:        canonicalSQL(key, req),
 		Strategy:   int(req.Strategy),
 		Generation: gen,
 	}
@@ -197,6 +198,21 @@ func newLookupRequest(key string, req serve.Request, gen uint64) (*LookupRequest
 		}
 	}
 	return out, nil
+}
+
+// canonicalSQL returns the canonical rendering of req.Query. A request key
+// is "<strategy>|<fingerprint>|<canonical SQL>", so the text Canonicalize
+// rendered once travels in the key and is not rendered again; a key of
+// another shape falls back to rendering the query.
+func canonicalSQL(key string, req serve.Request) string {
+	for i, bars := 0, 0; i < len(key); i++ {
+		if key[i] == '|' {
+			if bars++; bars == 2 {
+				return key[i+1:]
+			}
+		}
+	}
+	return req.Query.String()
 }
 
 // toServe reconstructs the serve request on the responding side. The SQL is

@@ -3,10 +3,9 @@ package serve
 import (
 	"container/list"
 	"context"
-	"encoding/binary"
-	"fmt"
-	"hash/fnv"
 	"math"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -82,10 +81,14 @@ func newPlanCache(shards, capacity int) *planCache {
 	return c
 }
 
+// shard picks key's shard by its FNV-1a hash, computed in place so a
+// lookup does not copy the key.
 func (c *planCache) shard(key string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &c.shards[h.Sum32()%uint32(len(c.shards))]
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return &c.shards[h%uint32(len(c.shards))]
 }
 
 // get serves a cached response, refreshing its LRU position. The returned
@@ -231,44 +234,70 @@ func genOf(key string) uint64 {
 	return g
 }
 
-// requestKey canonicalizes one (query, strategy, environment) triple. The
-// query renders through its canonical pseudo-SQL form, so textual variants
-// that bind to the same block share a key; the FNV-64 fingerprint covers
-// what the rendering cannot express — the environment's exact support,
-// probabilities, and Markov transition rows, plus the bound query's
-// numeric join/selection selectivities (two queries with the same text
-// but different explicit selectivities are different queries and must
-// not share a cache entry).
-func requestKey(q *query.SPJ, s lec.Strategy, env lec.Environment) string {
-	h := fnv.New64a()
-	writeFloat := func(v float64) {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
-	}
+// requestKey canonicalizes one (query, strategy, environment) triple as
+// "<strategy>|<fingerprint>|<canonical SQL>". canon is q's canonical
+// pseudo-SQL rendering (q.String()), so textual variants that bind to the
+// same block share a key; the FNV-64a fingerprint covers what the rendering
+// cannot express — the environment's exact support, probabilities, and
+// Markov transition rows, plus the bound query's numeric join/selection
+// selectivities (two queries with the same text but different explicit
+// selectivities are different queries and must not share a cache entry).
+func requestKey(q *query.SPJ, canon string, s lec.Strategy, env lec.Environment) string {
+	h := fnv64{offset64}
 	if env.Memory != nil {
 		for i := 0; i < env.Memory.Len(); i++ {
-			writeFloat(env.Memory.Value(i))
-			writeFloat(env.Memory.Prob(i))
+			h.float(env.Memory.Value(i))
+			h.float(env.Memory.Prob(i))
 		}
 	}
 	if env.Chain != nil {
-		h.Write([]byte{0xff}) // separate "has chain" from "no chain"
+		h.byte(0xff) // separate "has chain" from "no chain"
 		for _, v := range env.Chain.States() {
-			writeFloat(v)
+			h.float(v)
 		}
 		for i := 0; i < env.Chain.NumStates(); i++ {
 			for _, p := range env.Chain.TransitionRow(i) {
-				writeFloat(p)
+				h.float(p)
 			}
 		}
 	}
-	h.Write([]byte{0xfe}) // separate the environment from the selectivities
+	h.byte(0xfe) // separate the environment from the selectivities
 	for _, j := range q.Joins {
-		writeFloat(j.Selectivity)
+		h.float(j.Selectivity)
 	}
 	for _, sel := range q.Selections {
-		writeFloat(sel.Selectivity)
+		h.float(sel.Selectivity)
 	}
-	return fmt.Sprintf("%d|%016x|%s", int(s), h.Sum64(), q.String())
+	var num [20]byte
+	var hex [16]byte
+	for i, sum := len(hex)-1, h.sum; i >= 0; i, sum = i-1, sum>>4 {
+		hex[i] = "0123456789abcdef"[sum&0xf]
+	}
+	var b strings.Builder
+	b.Grow(len(num) + len(hex) + 2 + len(canon))
+	b.Write(strconv.AppendInt(num[:0], int64(s), 10))
+	b.WriteByte('|')
+	b.Write(hex[:])
+	b.WriteByte('|')
+	b.WriteString(canon)
+	return b.String()
+}
+
+// fnv64 is FNV-64a over the request fingerprint, written out so hashing a
+// float neither allocates nor goes through an interface.
+type fnv64 struct{ sum uint64 }
+
+const (
+	offset64 = 14695981039346656037
+	prime64  = 1099511628211
+)
+
+func (h *fnv64) byte(b byte) { h.sum = (h.sum ^ uint64(b)) * prime64 }
+
+// float hashes v's IEEE-754 bits, little-endian.
+func (h *fnv64) float(v float64) {
+	bits := math.Float64bits(v)
+	for i := 0; i < 8; i++ {
+		h.byte(byte(bits >> (8 * i)))
+	}
 }

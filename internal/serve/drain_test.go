@@ -81,7 +81,7 @@ func TestBeginDrainFlushesParkedLeaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckey, _ := svc.keys(bound.Query, bound)
+	ckey, _ := svc.keys(bound.Query, bound.canon, bound)
 	if _, ok := svc.cache.get(ckey); !ok {
 		t.Fatal("parked leader's response missing from the cache after drain")
 	}

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -129,7 +130,9 @@ type Request struct {
 	// Ignored when Query is set.
 	SQL string
 	// Query is a pre-bound block. The caller must not mutate it after
-	// submitting.
+	// submitting. A query bound from SQL (the one Canonicalize returns) is
+	// shared with every later request for the same SQL, so it is read-only
+	// too.
 	Query *query.SPJ
 	// Env is the parameter uncertainty to optimize under.
 	Env lec.Environment
@@ -146,6 +149,12 @@ type Request struct {
 	// Query is set; lengths must match the bound predicate lists.
 	JoinSels      []float64
 	SelectionSels []float64
+
+	// canon is the canonical rendering of canonOf, set by Canonicalize so
+	// that serving the bound request reuses it instead of rendering the
+	// query again. It counts only while Query is still canonOf.
+	canonOf *query.SPJ
+	canon   string
 }
 
 // Response is one served decision plus how it was produced.
@@ -180,6 +189,7 @@ type Service struct {
 	gen   atomic.Uint64
 
 	cache    *planCache
+	binds    *bindMemo     // bound SQL requests, scoped to a generation
 	sem      chan struct{} // worker slots
 	queue    chan struct{} // waiting slots
 	breakers breakerSet
@@ -223,6 +233,7 @@ func New(cat *catalog.Catalog, cfg Config) *Service {
 		cfg:   cfg,
 		cat:   cat,
 		cache: newPlanCache(cfg.CacheShards, cfg.CacheCapacity),
+		binds: newBindMemo(cfg.CacheCapacity),
 		sem:   make(chan struct{}, cfg.Workers),
 		queue: make(chan struct{}, cfg.QueueDepth),
 		clock: time.Now,
@@ -240,11 +251,18 @@ func New(cat *catalog.Catalog, cfg Config) *Service {
 func (s *Service) Generation() uint64 { return s.gen.Load() }
 
 // Invalidate bumps the generation, atomically invalidating every cached
-// plan (entries under older generations become unreachable and are purged).
-// Use when catalog statistics changed outside UpdateCatalog.
+// plan and bound request (entries under older generations become
+// unreachable and are purged). Use when catalog statistics changed outside
+// UpdateCatalog.
 func (s *Service) Invalidate() {
-	s.gen.Add(1)
-	s.cache.purgeBelow(s.gen.Load())
+	s.purgeBelow(s.gen.Add(1))
+}
+
+// purgeBelow reclaims the plan-cache and bind-memo entries of generations
+// older than gen.
+func (s *Service) purgeBelow(gen uint64) {
+	s.cache.purgeBelow(gen)
+	s.binds.purgeBelow(gen)
 }
 
 // AdoptGeneration raises the catalog generation to gen — a peer told us the
@@ -259,23 +277,31 @@ func (s *Service) AdoptGeneration(gen uint64) bool {
 			return false
 		}
 		if s.gen.CompareAndSwap(cur, gen) {
-			s.cache.purgeBelow(gen)
+			s.purgeBelow(gen)
 			return true
 		}
 	}
 }
 
 // UpdateCatalog applies a catalog/statistics mutation under the write lock
-// — no optimization runs while mutate executes — and then invalidates the
-// plan cache. The mutation must not retain the *catalog.Catalog.
+// — no optimization or binding runs while mutate executes — and bumps the
+// generation before releasing it, so no request can bind against the new
+// catalog under the old generation. The stale cache entries are purged
+// after the lock is released. The mutation must not retain the
+// *catalog.Catalog.
+//
+// When mutate returns an error the generation is not bumped: mutate must
+// then leave the catalog unchanged (a caller that changed it anyway calls
+// Invalidate).
 func (s *Service) UpdateCatalog(mutate func(*catalog.Catalog) error) error {
 	s.catMu.Lock()
-	err := mutate(s.cat)
-	s.catMu.Unlock()
-	if err != nil {
+	if err := mutate(s.cat); err != nil {
+		s.catMu.Unlock()
 		return err
 	}
-	s.Invalidate()
+	gen := s.gen.Add(1)
+	s.catMu.Unlock()
+	s.purgeBelow(gen)
 	return nil
 }
 
@@ -323,11 +349,11 @@ func (s *Service) optimize(ctx context.Context, req Request) (*Response, error) 
 	ctx, cancel := s.withDefaultTimeout(ctx)
 	defer cancel()
 
-	q, err := s.bind(req)
+	q, canon, err := s.bind(req)
 	if err != nil {
 		return nil, err
 	}
-	ckey, bkey := s.keys(q, req)
+	ckey, bkey := s.keys(q, canon, req)
 	if resp, ok := s.cache.get(ckey); ok {
 		return resp, nil
 	}
@@ -457,7 +483,7 @@ func (s *Service) compare(ctx context.Context, req Request) ([]*lec.Decision, er
 	}
 	ctx, cancel := s.withDefaultTimeout(ctx)
 	defer cancel()
-	q, err := s.bind(req)
+	q, _, err := s.bind(req)
 	if err != nil {
 		return nil, err
 	}
@@ -506,7 +532,7 @@ func (s *Service) traceRun(ctx context.Context, req Request) (dec *lec.Decision,
 	}
 	ctx, cancel := s.withDefaultTimeout(ctx)
 	defer cancel()
-	q, err := s.bind(req)
+	q, _, err := s.bind(req)
 	if err != nil {
 		return nil, err
 	}
@@ -540,17 +566,44 @@ func (s *Service) traceRun(ctx context.Context, req Request) (dec *lec.Decision,
 	return dec, err
 }
 
-// bind resolves the request's query under the catalog read lock.
-func (s *Service) bind(req Request) (*query.SPJ, error) {
+// bind resolves the request's query and its canonical rendering. A
+// pre-bound query is returned as is, with the rendering Canonicalize
+// attached to it when there is one. SQL is bound under the catalog read
+// lock, through the bind memo: a request seen before at the current
+// generation is not parsed, bound or rendered again.
+func (s *Service) bind(req Request) (q *query.SPJ, canon string, err error) {
 	if req.Query != nil {
-		return req.Query, nil
+		if req.canonOf == req.Query {
+			return req.Query, req.canon, nil
+		}
+		return req.Query, req.Query.String(), nil
 	}
 	if req.SQL == "" {
-		return nil, fmt.Errorf("%w: request needs SQL or a bound query", lec.ErrInvalidQuery)
+		return nil, "", fmt.Errorf("%w: request needs SQL or a bound query", lec.ErrInvalidQuery)
 	}
+	var buf [512]byte
+	overrides := appendOverrides(buf[:0], req)
 	s.catMu.RLock()
 	defer s.catMu.RUnlock()
-	q, err := sqlparse.ParseAndBind(req.SQL, s.cat)
+	gen := s.gen.Load()
+	if e, ok := s.binds.get(req.SQL, overrides, gen); ok {
+		return e.q, e.canon, nil
+	}
+	q, err = bindSQL(req, s.cat)
+	if err != nil {
+		return nil, "", err
+	}
+	if canon = q.String(); canon == req.SQL {
+		canon = req.SQL // canonical already: keep one copy of the text
+	}
+	s.binds.put(req.SQL, overrides, boundQuery{gen: gen, q: q, canon: canon})
+	return q, canon, nil
+}
+
+// bindSQL parses and binds the request's SQL against cat and applies its
+// selectivity overrides.
+func bindSQL(req Request, cat *catalog.Catalog) (*query.SPJ, error) {
+	q, err := sqlparse.ParseAndBind(req.SQL, cat)
 	if err != nil {
 		return nil, classify(err)
 	}
@@ -600,25 +653,27 @@ func (s *Service) withDefaultTimeout(ctx context.Context) (context.Context, cont
 
 // keys derives the cache key (generation-scoped) and the breaker key
 // (generation-free: a breaker guards a coster configuration, which a
-// statistics refresh does not change) for one bound request.
-func (s *Service) keys(q *query.SPJ, req Request) (ckey, bkey string) {
-	bkey = requestKey(q, req.Strategy, req.Env)
-	ckey = fmt.Sprintf("g%d|%s", s.gen.Load(), bkey)
+// statistics refresh does not change) for one bound request. canon is q's
+// canonical rendering.
+func (s *Service) keys(q *query.SPJ, canon string, req Request) (ckey, bkey string) {
+	bkey = requestKey(q, canon, req.Strategy, req.Env)
+	ckey = "g" + strconv.FormatUint(s.gen.Load(), 10) + "|" + bkey
 	return ckey, bkey
 }
 
 // Canonicalize binds the request's query against the live catalog and
 // returns the bound request plus its generation-free request key — the
 // canonical (query, strategy, environment) identity the fleet layer hashes
-// for cache-key ownership. The returned request carries the bound Query, so
-// optimizing it later skips the re-parse.
+// for cache-key ownership. The returned request carries the bound Query and
+// its canonical rendering, so optimizing it later neither re-parses nor
+// re-renders the query.
 func (s *Service) Canonicalize(req Request) (Request, string, error) {
-	q, err := s.bind(req)
+	q, canon, err := s.bind(req)
 	if err != nil {
 		return req, "", err
 	}
-	req.Query = q
-	return req, requestKey(q, req.Strategy, req.Env), nil
+	req.Query, req.canonOf, req.canon = q, q, canon
+	return req, requestKey(q, canon, req.Strategy, req.Env), nil
 }
 
 // Pressure reports the live admission queue depth and whether it has

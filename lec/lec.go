@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/obs"
@@ -173,10 +174,25 @@ type Decision struct {
 	// as JSON.
 	Trace *obs.Trace
 	env   Environment
+	// explain holds Explain's rendering once it has been made. A served
+	// Decision is shared read-only by every request that hits it, so the
+	// text is rendered once, not once per reply.
+	explain atomic.Pointer[string]
 }
 
-// Explain renders the plan tree with its cost summary.
+// Explain renders the plan tree with its cost summary. The text is made on
+// the first call and reused after it, so a Decision must not be modified
+// once Explain has been called.
 func (d *Decision) Explain() string {
+	if s := d.explain.Load(); s != nil {
+		return *s
+	}
+	s := d.renderExplain()
+	d.explain.Store(&s)
+	return s
+}
+
+func (d *Decision) renderExplain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "strategy: %v\nexpected cost: %.0f page I/Os (std %.0f, p95 %.0f)\n",
 		d.Strategy, d.ExpectedCost, d.Risk.StdDev, d.Risk.P95)
