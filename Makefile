@@ -66,11 +66,13 @@ fleet-chaos:
 # heap on the pooled-session path. BenchmarkServeHit and
 # BenchmarkFleetPeerHit are the warm hit paths: a plan-cache hit in one
 # serve.Service, and a peer hit across a two-node loopback fleet.
+# BenchmarkFleetPeerHitHTTP is the same peer hit over HTTPTransport, so it
+# also times the peer wire codec and the HTTP round trip.
 bench:
 	$(GO) test -bench='BenchmarkDPCore|BenchmarkTieredPlanning' -benchmem -cpu=1 -run=^$$ ./internal/opt
 	$(GO) test -bench='BenchmarkFacadeCold' -benchmem -cpu=1 -run=^$$ ./lec
 	$(GO) test -bench='BenchmarkServeHit' -benchmem -cpu=1 -run=^$$ ./internal/serve
-	$(GO) test -bench='BenchmarkFleetPeerHit' -benchmem -cpu=1 -run=^$$ ./internal/fleet
+	$(GO) test -bench='BenchmarkFleetPeerHit|BenchmarkFleetPeerHitHTTP' -benchmem -cpu=1 -run=^$$ ./internal/fleet
 
 # Every Go benchmark in the optimizer, facade, serving and fleet packages,
 # run once each: a compile-and-run check so benchmark code cannot rot. It
@@ -114,7 +116,10 @@ calibrate:
 	$(GO) run ./cmd/leccal $(CALIBRATE_FLAGS) -check
 
 # Smoke the native fuzz targets: the parser/binder and the public optimizer
-# facade must never panic on arbitrary input (see ISSUE robustness work).
+# facade must never panic on arbitrary input (see ISSUE robustness work),
+# and the peer wire codec must decode arbitrary bytes without panicking or
+# over-allocating, re-encoding whatever it accepts to the same bytes.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSQL -fuzztime $(FUZZTIME) ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzOptimize -fuzztime $(FUZZTIME) ./lec
+	$(GO) test -run '^$$' -fuzz FuzzPeerWire -fuzztime $(FUZZTIME) ./internal/fleet

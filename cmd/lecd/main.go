@@ -46,9 +46,10 @@
 //	GET  /readyz    load-balancer readiness (503 once draining)
 //	GET  /statsz    service counters as JSON
 //	GET  /clusterz  fleet status as JSON ({"fleet": false} when standalone)
-//	POST /fleet/v1/lookup, /fleet/v1/propagate,
-//	     /fleet/v1/membership, /fleet/v1/handoff
-//	                the peer-to-peer protocol (mounted with -peers or -join)
+//	POST /fleet/v2/lookup, /fleet/v2/propagate,
+//	     /fleet/v2/membership, /fleet/v2/handoff
+//	                the peer-to-peer protocol, binary-encoded (mounted with
+//	                -peers or -join)
 //
 // With -pprof, the standard net/http/pprof profiling endpoints are mounted
 // under /debug/pprof/ on the same listener.

@@ -242,13 +242,13 @@ func TestClusterzStandalone(t *testing.T) {
 		t.Errorf("/clusterz without -peers = %v, want {\"fleet\": false}", out)
 	}
 	// Without a fleet node, the peer protocol is not mounted.
-	pr, err := http.Post(ts.URL+"/fleet/v1/propagate", "application/json", strings.NewReader("{}"))
+	pr, err := http.Post(ts.URL+"/fleet/v2/propagate", "application/octet-stream", strings.NewReader("\x03\x01"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pr.Body.Close()
 	if pr.StatusCode != http.StatusNotFound {
-		t.Errorf("/fleet/v1/propagate without -peers = %d, want 404", pr.StatusCode)
+		t.Errorf("/fleet/v2/propagate without -peers = %d, want 404", pr.StatusCode)
 	}
 }
 

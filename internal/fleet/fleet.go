@@ -607,13 +607,18 @@ func (n *Node) lookup(ctx context.Context, peer, key string, req serve.Request, 
 		n.notePeerDown(peer, "injected partition")
 		return nil, fmt.Errorf("%w: %s (injected partition)", ErrPeerUnreachable, peer)
 	}
-	wreq, err := newLookupRequest(key, req, n.svc.Generation())
+	spec, err := newWarmSpec(key, req)
 	if err != nil {
 		return nil, err
 	}
-	wreq.Hedge = hedge
-	wreq.From = n.cfg.Self
-	wreq.Epoch = n.Epoch()
+	wreq := &LookupRequest{
+		Key:        key,
+		Spec:       spec,
+		Generation: n.svc.Generation(),
+		Epoch:      n.Epoch(),
+		From:       n.cfg.Self,
+		Hedge:      hedge,
+	}
 	lctx, cancel := context.WithTimeout(ctx, n.cfg.LookupTimeout)
 	defer cancel()
 	rep, err := n.cfg.Transport.Lookup(lctx, peer, wreq)
@@ -658,7 +663,7 @@ func (n *Node) HandleLookup(ctx context.Context, req *LookupRequest) (*LookupRep
 	if req.Epoch > n.Epoch() && req.From != "" {
 		go n.syncMembership(req.From)
 	}
-	sreq, err := req.toServe()
+	sreq, err := req.Spec.toServe()
 	if err != nil {
 		return nil, err
 	}

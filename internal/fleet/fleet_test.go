@@ -63,6 +63,17 @@ func ownerOf(t *testing.T, n *Node, req serve.Request) (key, owner string) {
 	return key, n.view().ring.owner(key)
 }
 
+// lookupRequestFor flattens a canonicalized request into the lookup a
+// requester at generation gen would send.
+func lookupRequestFor(t *testing.T, key string, bound serve.Request, gen uint64) *LookupRequest {
+	t.Helper()
+	spec, err := newWarmSpec(key, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &LookupRequest{Key: key, Spec: spec, Generation: gen}
+}
+
 func totalOptimizations(nodes map[string]*Node) int64 {
 	var total int64
 	for _, n := range nodes {
@@ -379,11 +390,7 @@ func TestGenerationPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wreq, err := newLookupRequest(key, bound, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := laggard.HandleLookup(context.Background(), wreq); err != nil {
+	if _, err := laggard.HandleLookup(context.Background(), lookupRequestFor(t, key, bound, 2)); err != nil {
 		t.Fatalf("repair lookup failed: %v", err)
 	}
 	if got := laggard.svc.Generation(); got != 2 {
@@ -485,11 +492,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wreq, err := newLookupRequest(key, bound, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuilt, err := wreq.toServe()
+	rebuilt, err := lookupRequestFor(t, key, bound, 7).Spec.toServe()
 	if err != nil {
 		t.Fatal(err)
 	}

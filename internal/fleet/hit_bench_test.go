@@ -12,29 +12,54 @@ import (
 	"repro/lec"
 )
 
+// benchCatalog is the peer-hit benchmarks' eight-table catalog.
+func benchCatalog() *catalog.Catalog {
+	return workload.RandomCatalog(rand.New(rand.NewSource(1)), workload.CatalogSpec{NumTables: 8})
+}
+
 // BenchmarkFleetPeerHit is one warm peer hit in a two-node Loopback fleet:
 // the requester canonicalizes, flattens the lookup, and the owner rebinds
 // it and answers from its plan cache.
 func BenchmarkFleetPeerHit(b *testing.B) {
 	names := []string{"a", "b"}
-	newCatalog := func() *catalog.Catalog {
-		return workload.RandomCatalog(rand.New(rand.NewSource(1)), workload.CatalogSpec{NumTables: 8})
-	}
 	lb := NewLoopback()
 	nodes := make(map[string]*Node, len(names))
 	for _, name := range names {
-		n, err := New(serve.New(newCatalog(), serve.Config{Workers: 2}), Config{Self: name, Peers: names, Transport: lb, HedgeDelay: -1})
+		n, err := New(serve.New(benchCatalog(), serve.Config{Workers: 2}), Config{Self: name, Peers: names, Transport: lb, HedgeDelay: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
 		lb.Register(name, n)
 		nodes[name] = n
 	}
-	a := nodes["a"]
+	benchPeerHit(b, nodes["a"], "b")
+}
+
+// BenchmarkFleetPeerHitHTTP is BenchmarkFleetPeerHit over HTTPTransport
+// between two loopback listeners, so each hit also pays for the wire
+// codec and an HTTP round trip.
+func BenchmarkFleetPeerHitHTTP(b *testing.B) {
+	nodes := newHTTPFleetOver(b, benchCatalog)
+	var a *Node
+	var owner string
+	for name, n := range nodes {
+		if a == nil {
+			a = n
+		} else {
+			owner = name
+		}
+	}
+	benchPeerHit(b, a, owner)
+}
+
+// benchPeerHit times warm reads at a of an 8-relation chain query that
+// owner owns: after one cold read, each is a cached peer hit.
+func benchPeerHit(b *testing.B, a *Node, owner string) {
 	env := lec.Environment{Memory: stats.MustNew([]float64{700, 2000}, []float64{0.2, 0.8})}
-	// Draw chain queries until one is owned by b, so a's reads are peer hits.
+	// Draw chain queries until one is owned by owner, so a's reads are
+	// peer hits.
 	var req serve.Request
-	cat := newCatalog()
+	cat := benchCatalog()
 	for seed := int64(1); ; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		q, err := workload.RandomQuery(rng, cat, workload.QuerySpec{NumRels: 8, Shape: workload.Chain, SelectionProb: 0.5})
@@ -46,7 +71,7 @@ func BenchmarkFleetPeerHit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if a.view().ring.owner(key) == "b" {
+		if a.view().ring.owner(key) == owner {
 			break
 		}
 	}

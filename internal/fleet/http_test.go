@@ -1,11 +1,14 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/workload"
@@ -15,23 +18,32 @@ import (
 // their listener addresses — the same wiring cmd/lecd uses.
 func newHTTPFleet(t *testing.T) map[string]*Node {
 	t.Helper()
+	return newHTTPFleetOver(t, func() *catalog.Catalog {
+		cat, _, _ := workload.Example11()
+		return cat
+	})
+}
+
+// newHTTPFleetOver is newHTTPFleet with each node's catalog built by
+// newCatalog.
+func newHTTPFleetOver(tb testing.TB, newCatalog func() *catalog.Catalog) map[string]*Node {
+	tb.Helper()
 	mux1, mux2 := http.NewServeMux(), http.NewServeMux()
 	srv1 := httptest.NewServer(mux1)
 	srv2 := httptest.NewServer(mux2)
-	t.Cleanup(srv1.Close)
-	t.Cleanup(srv2.Close)
+	tb.Cleanup(srv1.Close)
+	tb.Cleanup(srv2.Close)
 	addr1 := srv1.Listener.Addr().String()
 	addr2 := srv2.Listener.Addr().String()
 	peers := []string{addr1, addr2}
 
 	nodes := make(map[string]*Node, 2)
 	for addr, mux := range map[string]*http.ServeMux{addr1: mux1, addr2: mux2} {
-		cat, _, _ := workload.Example11()
-		n, err := New(serve.New(cat, serve.Config{Workers: 2}), Config{
+		n, err := New(serve.New(newCatalog(), serve.Config{Workers: 2}), Config{
 			Self: addr, Peers: peers, Transport: &HTTPTransport{}, HedgeDelay: -1,
 		})
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		mux.Handle("/fleet/", Handler(n))
 		nodes[addr] = n
@@ -79,6 +91,107 @@ func TestHTTPTransportPeerHit(t *testing.T) {
 	requester.Invalidate()
 	if got := ownerNode.svc.Generation(); got != 1 {
 		t.Errorf("generation did not propagate over HTTP: owner at %d, want 1", got)
+	}
+}
+
+// TestMixedVersionPeerFallsBack puts a requester in front of an owner that
+// does not speak this protocol version: one that answers 404 (an older
+// peer, which mounts other paths) and one that answers a JSON body. Each
+// lookup must count one drop and fall back to a local run that returns
+// exactly the plan a solo service computes.
+func TestMixedVersionPeerFallsBack(t *testing.T) {
+	for name, owner := range map[string]http.HandlerFunc{
+		"404": http.NotFound,
+		"JSON body": func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write([]byte(`{"generation": 0, "node": "old", "resp": {"decision": {"plan": "bogus"}}}`))
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			old := httptest.NewServer(owner)
+			defer old.Close()
+			mux := http.NewServeMux()
+			srv := httptest.NewServer(mux)
+			defer srv.Close()
+			self, peer := srv.Listener.Addr().String(), old.Listener.Addr().String()
+			cat, _, _ := workload.Example11()
+			n, err := New(serve.New(cat, serve.Config{Workers: 2}), Config{
+				Self: self, Peers: []string{self, peer}, Transport: &HTTPTransport{}, HedgeDelay: -1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mux.Handle("/fleet/", Handler(n))
+
+			// Ports are random, so search memory distributions for a
+			// request the old peer owns.
+			var req serve.Request
+			for mean := 100.0; req.SQL == "" && mean < 4000; mean += 100 {
+				r := exampleRequest()
+				if r.Env.Memory, err = workload.LognormalMemDist(mean, 0.8, 4); err != nil {
+					t.Fatal(err)
+				}
+				if _, o := ownerOf(t, n, r); o == peer {
+					req = r
+				}
+			}
+			if req.SQL == "" {
+				t.Fatal("the old peer owns none of 39 requests")
+			}
+			rep, err := n.Optimize(context.Background(), req)
+			if err != nil {
+				t.Fatalf("request with a mixed-version owner failed: %v", err)
+			}
+			if !rep.FellBack || rep.Local == nil || rep.Peer != nil {
+				t.Fatalf("want a local fallback, got %+v", rep)
+			}
+			if got := n.Status().Drops; got != 1 {
+				t.Errorf("drops = %d, want 1", got)
+			}
+			soloCat, _, _ := workload.Example11()
+			want, err := serve.New(soloCat, serve.Config{}).Optimize(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.Local.Decision; got.Explain() != want.Decision.Explain() || got.ExpectedCost != want.Decision.ExpectedCost {
+				t.Errorf("fallback plan differs from a solo service:\n  got  %v %s\n  want %v %s",
+					got.ExpectedCost, got.Explain(), want.Decision.ExpectedCost, want.Decision.Explain())
+			}
+		})
+	}
+}
+
+// TestHandlerRejectsMalformedBodies posts bodies that are not the path's
+// message to every peer path: each gets a 400, and the node keeps serving.
+func TestHandlerRejectsMalformedBodies(t *testing.T) {
+	nodes := newHTTPFleet(t)
+	var addr string
+	for a := range nodes {
+		addr = a
+	}
+	valid := marshal(&propagateMsg{Generation: 0})
+	bodies := map[string][]byte{
+		"empty":         nil,
+		"JSON":          []byte(`{"generation": 1}`),
+		"unknown tag":   {0xee, 1, 2, 3},
+		"hostile count": append([]byte{tagMembership, 1}, binary.AppendUvarint(nil, 1<<62)...),
+		"trailing":      append(append([]byte{}, valid...), 0),
+	}
+	for _, path := range []string{lookupPath, propagatePath, membershipPath, handoffPath} {
+		for name, body := range bodies {
+			resp, err := http.Post("http://"+addr+path, contentType, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s with a %s body: status %d, want 400", path, name, resp.StatusCode)
+			}
+		}
+	}
+	rep, err := (&HTTPTransport{}).Propagate(context.Background(), addr, 0)
+	if err != nil || rep != 0 {
+		t.Errorf("node stopped answering after malformed bodies: %v, %v", rep, err)
 	}
 }
 

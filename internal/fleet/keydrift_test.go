@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"testing"
 
 	"repro/internal/serve"
@@ -47,10 +46,10 @@ func driftingRequest(t *testing.T) serve.Request {
 }
 
 // TestWireRoundTripKeepsKeyBits sends canonicalized requests over a wide
-// sweep of memory distributions through JSON and back, and requires every
-// rebuilt request to canonicalize to the sender's key. A third of the
-// sweep renormalizes under stats.New, so a rebuild that renormalized would
-// fail here.
+// sweep of memory distributions through the wire codec and back, and
+// requires every rebuilt request to canonicalize to the sender's key. A
+// third of the sweep renormalizes under stats.New, so a rebuild that
+// renormalized would fail here.
 func TestWireRoundTripKeepsKeyBits(t *testing.T) {
 	catA, _, _ := workload.Example11()
 	catB, _, _ := workload.Example11()
@@ -72,19 +71,11 @@ func TestWireRoundTripKeepsKeyBits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wreq, err := newLookupRequest(key, bound, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, err := json.Marshal(wreq)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var got LookupRequest
-			if err := json.Unmarshal(raw, &got); err != nil {
+			if err := unmarshal(marshal(lookupRequestFor(t, key, bound, 1)), &got); err != nil {
 				t.Fatal(err)
 			}
-			rebuilt, err := got.toServe()
+			rebuilt, err := got.Spec.toServe()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +96,7 @@ func TestWireRoundTripKeepsKeyBits(t *testing.T) {
 // TestWireRejectsUnnormalized checks that the exact rebuild still refuses
 // malformed distributions instead of repairing them.
 func TestWireRejectsUnnormalized(t *testing.T) {
-	for name, r := range map[string]LookupRequest{
+	for name, r := range map[string]WarmSpec{
 		"unnormalized": {MemVals: []float64{100, 200}, MemProbs: []float64{1, 1}},
 		"descending":   {MemVals: []float64{200, 100}, MemProbs: []float64{0.5, 0.5}},
 		"duplicate":    {MemVals: []float64{100, 100}, MemProbs: []float64{0.5, 0.5}},

@@ -48,9 +48,9 @@ func (v *view) has(peer string) bool { return containsPeer(v.peers, peer) }
 // its view and adopts the other's when strictly newer, so any contact
 // between two nodes converges them.
 type MembershipMsg struct {
-	Epoch uint64   `json:"epoch"`
-	Peers []string `json:"peers"`
-	From  string   `json:"from,omitempty"`
+	Epoch uint64
+	Peers []string
+	From  string
 }
 
 // view returns the current membership view (never nil).

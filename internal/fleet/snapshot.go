@@ -11,6 +11,8 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/faultinject"
 	"repro/internal/serve"
+	"repro/internal/stats"
+	"repro/lec"
 )
 
 // snapshotVersion is bumped whenever the snapshot schema changes; a
@@ -41,34 +43,58 @@ type snapshotFile struct {
 	Entries []WarmSpec `json:"entries"`
 }
 
-// WarmSpec is one replayable request spec — the same flattening the wire
-// uses (see LookupRequest). It is the unit of snapshots, membership
-// handoff, and replica pushes alike: specs travel, plans never do, so a
-// receiver only ever serves plans it derived against its own catalog.
+// WarmSpec is one replayable request spec: the canonical SQL plus the
+// numbers its text cannot express. It is the unit of peer lookups,
+// snapshots, membership handoff, and replica pushes alike: specs travel,
+// plans never do, so a receiver only ever serves plans it derived against
+// its own catalog.
 type WarmSpec struct {
-	SQL         string      `json:"sql"`
-	Strategy    int         `json:"strategy"`
-	JoinSels    []float64   `json:"join_sels,omitempty"`
-	SelSels     []float64   `json:"sel_sels,omitempty"`
-	MemVals     []float64   `json:"mem_vals,omitempty"`
-	MemProbs    []float64   `json:"mem_probs,omitempty"`
+	// SQL is the canonical pseudo-SQL rendering of the bound query.
+	SQL string `json:"sql"`
+	// Strategy is the numeric lec.Strategy.
+	Strategy int `json:"strategy"`
+	// JoinSels/SelSels carry the bound query's numeric join/selection
+	// selectivities, which the canonical SQL rendering cannot express —
+	// without them the receiver's rebind would silently substitute
+	// catalog-derived estimates and optimize a different query under the
+	// same key.
+	JoinSels []float64 `json:"join_sels,omitempty"`
+	SelSels  []float64 `json:"sel_sels,omitempty"`
+	// MemVals/MemProbs encode the memory distribution.
+	MemVals  []float64 `json:"mem_vals,omitempty"`
+	MemProbs []float64 `json:"mem_probs,omitempty"`
+	// ChainStates/ChainRows encode the optional Markov memory chain.
 	ChainStates []float64   `json:"chain_states,omitempty"`
 	ChainRows   [][]float64 `json:"chain_rows,omitempty"`
 }
 
-// toServe rebuilds the spec as a serve request (shared with the wire path).
-func (e WarmSpec) toServe() (serve.Request, error) {
-	w := LookupRequest{
-		SQL:         e.SQL,
-		Strategy:    e.Strategy,
-		JoinSels:    e.JoinSels,
-		SelSels:     e.SelSels,
-		MemVals:     e.MemVals,
-		MemProbs:    e.MemProbs,
-		ChainStates: e.ChainStates,
-		ChainRows:   e.ChainRows,
+// toServe reconstructs the serve request on the receiving side. The SQL is
+// re-bound against the receiver's own catalog — a peer never executes a
+// plan fragment it did not derive itself.
+func (e *WarmSpec) toServe() (serve.Request, error) {
+	out := serve.Request{
+		SQL:           e.SQL,
+		Strategy:      lec.Strategy(e.Strategy),
+		JoinSels:      e.JoinSels,
+		SelectionSels: e.SelSels,
 	}
-	return w.toServe()
+	if len(e.MemVals) > 0 {
+		// The sender's distribution is already normalized; rebuilding it
+		// bit for bit keeps the request key identical on both sides.
+		m, err := stats.FromNormalized(e.MemVals, e.MemProbs)
+		if err != nil {
+			return out, fmt.Errorf("fleet: bad memory distribution on the wire: %w", err)
+		}
+		out.Env.Memory = m
+	}
+	if len(e.ChainStates) > 0 {
+		c, err := stats.NewChain(e.ChainStates, e.ChainRows)
+		if err != nil {
+			return out, fmt.Errorf("fleet: bad memory chain on the wire: %w", err)
+		}
+		out.Env.Chain = c
+	}
+	return out, nil
 }
 
 // noteServed records a successfully served request into the bounded warm
@@ -88,19 +114,9 @@ func (n *Node) noteServed(key string, req serve.Request, resp *serve.Response) {
 	if seen || full {
 		return
 	}
-	wreq, err := newLookupRequest(key, req, 0)
+	e, err := newWarmSpec(key, req)
 	if err != nil {
 		return
-	}
-	e := WarmSpec{
-		SQL:         wreq.SQL,
-		Strategy:    wreq.Strategy,
-		JoinSels:    wreq.JoinSels,
-		SelSels:     wreq.SelSels,
-		MemVals:     wreq.MemVals,
-		MemProbs:    wreq.MemProbs,
-		ChainStates: wreq.ChainStates,
-		ChainRows:   wreq.ChainRows,
 	}
 	n.warmMu.Lock()
 	defer n.warmMu.Unlock()

@@ -8,8 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/serve"
-	"repro/internal/stats"
-	"repro/lec"
 )
 
 // ErrPeerUnreachable reports a peer lookup or propagation that the network
@@ -48,14 +46,14 @@ type Transport interface {
 // carries both rebalance transfers (membership changes) and asynchronous
 // replica pushes.
 type HandoffRequest struct {
-	From    string     `json:"from"`
-	Epoch   uint64     `json:"epoch"`
-	Entries []WarmSpec `json:"entries"`
+	From    string
+	Epoch   uint64
+	Entries []WarmSpec
 }
 
 // HandoffReply acknowledges a handoff batch.
 type HandoffReply struct {
-	Accepted int `json:"accepted"`
+	Accepted int
 }
 
 // LookupRequest is one peer plan lookup on the wire. It carries the full
@@ -64,76 +62,62 @@ type HandoffReply struct {
 // which is what keeps a fleet-wide stampede at exactly one engine run.
 type LookupRequest struct {
 	// Key is the generation-free canonical request key (ownership identity).
-	Key string `json:"key"`
-	// SQL is the canonical pseudo-SQL rendering of the bound query.
-	SQL string `json:"sql"`
-	// Strategy is the numeric lec.Strategy.
-	Strategy int `json:"strategy"`
-	// JoinSels/SelSels carry the bound query's numeric join/selection
-	// selectivities, which the canonical SQL rendering cannot express —
-	// without them the responder's rebind would silently substitute
-	// catalog-derived estimates and optimize a different query under the
-	// same key.
-	JoinSels []float64 `json:"join_sels,omitempty"`
-	SelSels  []float64 `json:"sel_sels,omitempty"`
-	// MemVals/MemProbs encode the memory distribution.
-	MemVals  []float64 `json:"mem_vals"`
-	MemProbs []float64 `json:"mem_probs"`
-	// ChainStates/ChainRows encode the optional Markov memory chain.
-	ChainStates []float64   `json:"chain_states,omitempty"`
-	ChainRows   [][]float64 `json:"chain_rows,omitempty"`
+	Key string
+	// Spec is the request itself, which the owner rebinds and re-keys
+	// against its own catalog.
+	Spec WarmSpec
 	// Generation is the requester's catalog generation; a responder that
 	// is behind adopts it before answering.
-	Generation uint64 `json:"generation"`
+	Generation uint64
 	// Epoch is the requester's membership epoch; a responder that is
 	// behind syncs views with From in the background.
-	Epoch uint64 `json:"epoch,omitempty"`
+	Epoch uint64
 	// From is the requester's fleet identity (the sync target).
-	From string `json:"from,omitempty"`
+	From string
 	// Hedge marks a hedged lookup sent to a non-owner (diagnostic only).
-	Hedge bool `json:"hedge,omitempty"`
+	Hedge bool
 }
 
 // LookupReply is a peer's answer.
 type LookupReply struct {
 	// Generation the responder answered under. The requester rejects
 	// replies older than its own generation and adopts newer ones.
-	Generation uint64 `json:"generation"`
+	Generation uint64
 	// Epoch is the responder's membership epoch; a requester that is
 	// behind syncs views in the background.
-	Epoch uint64 `json:"epoch,omitempty"`
+	Epoch uint64
 	// Node is the responder's identity.
-	Node string `json:"node"`
+	Node string
 	// QueueDepth is the responder's admission queue depth at answer time
 	// — the load signal behind load-aware hedging.
-	QueueDepth int `json:"queue_depth,omitempty"`
+	QueueDepth int
 	// Resp is the responder's serve response, flattened for the wire.
-	Resp WireResponse `json:"resp"`
+	Resp WireResponse
 }
 
 // WireDecision is a lec.Decision flattened for the wire: everything a
 // serving client consumes, with the plan as its rendered explain tree.
 type WireDecision struct {
-	Strategy      string  `json:"strategy"`
-	ExpectedCost  float64 `json:"expected_cost"`
-	StdDev        float64 `json:"std_dev"`
-	P95           float64 `json:"p95"`
-	Degraded      bool    `json:"degraded,omitempty"`
-	DegradeReason string  `json:"degrade_reason,omitempty"`
-	DegradeRung   string  `json:"degrade_rung,omitempty"`
-	Tier          string  `json:"tier,omitempty"`
-	TierReason    string  `json:"tier_reason,omitempty"`
-	TierGap       float64 `json:"tier_gap,omitempty"`
-	Plan          string  `json:"plan"`
+	Strategy      string
+	ExpectedCost  float64
+	StdDev        float64
+	P95           float64
+	Degraded      bool
+	DegradeReason string
+	DegradeRung   string
+	Tier          string
+	TierReason    string
+	TierGap       float64
+	Plan          string
 }
 
 // WireResponse is a serve.Response flattened for the wire.
 type WireResponse struct {
-	Decision  WireDecision `json:"decision"`
-	Cached    bool         `json:"cached,omitempty"`
-	Coalesced bool         `json:"coalesced,omitempty"`
-	Pinned    bool         `json:"pinned,omitempty"`
-	Pressure  string       `json:"pressure,omitempty"`
+	Decision  WireDecision
+	Cached    bool
+	Coalesced bool
+	Pinned    bool
+	Pressure  string
 }
 
 // ToWire flattens a serve.Response for the wire.
@@ -161,18 +145,16 @@ func ToWire(r *serve.Response) WireResponse {
 	return out
 }
 
-// newLookupRequest flattens one canonicalized serve request. The request
-// must carry a bound Query and key must be the request key
+// newWarmSpec flattens one canonicalized serve request. The request must
+// carry a bound Query and key must be the request key
 // Service.Canonicalize returned with it.
-func newLookupRequest(key string, req serve.Request, gen uint64) (*LookupRequest, error) {
+func newWarmSpec(key string, req serve.Request) (WarmSpec, error) {
 	if req.Query == nil {
-		return nil, fmt.Errorf("fleet: request not canonicalized")
+		return WarmSpec{}, fmt.Errorf("fleet: request not canonicalized")
 	}
-	out := &LookupRequest{
-		Key:        key,
-		SQL:        canonicalSQL(key, req),
-		Strategy:   int(req.Strategy),
-		Generation: gen,
+	out := WarmSpec{
+		SQL:      canonicalSQL(key, req),
+		Strategy: int(req.Strategy),
 	}
 	if len(req.Query.Joins) > 0 {
 		out.JoinSels = make([]float64, len(req.Query.Joins))
@@ -213,35 +195,6 @@ func canonicalSQL(key string, req serve.Request) string {
 		}
 	}
 	return req.Query.String()
-}
-
-// toServe reconstructs the serve request on the responding side. The SQL is
-// re-bound against the responder's own catalog — a peer never executes a
-// plan fragment it did not derive itself.
-func (r *LookupRequest) toServe() (serve.Request, error) {
-	out := serve.Request{
-		SQL:           r.SQL,
-		Strategy:      lec.Strategy(r.Strategy),
-		JoinSels:      r.JoinSels,
-		SelectionSels: r.SelSels,
-	}
-	if len(r.MemVals) > 0 {
-		// The requester's distribution is already normalized; rebuilding it
-		// bit for bit keeps the request key identical on both sides.
-		m, err := stats.FromNormalized(r.MemVals, r.MemProbs)
-		if err != nil {
-			return out, fmt.Errorf("fleet: bad memory distribution on the wire: %w", err)
-		}
-		out.Env.Memory = m
-	}
-	if len(r.ChainStates) > 0 {
-		c, err := stats.NewChain(r.ChainStates, r.ChainRows)
-		if err != nil {
-			return out, fmt.Errorf("fleet: bad memory chain on the wire: %w", err)
-		}
-		out.Env.Chain = c
-	}
-	return out, nil
 }
 
 // Loopback is the in-process transport for tests and single-binary
