@@ -46,8 +46,8 @@
 //	GET  /readyz    load-balancer readiness (503 once draining)
 //	GET  /statsz    service counters as JSON
 //	GET  /clusterz  fleet status as JSON ({"fleet": false} when standalone)
-//	POST /fleet/v2/lookup, /fleet/v2/propagate,
-//	     /fleet/v2/membership, /fleet/v2/handoff
+//	POST /fleet/v3/lookup, /fleet/v3/propagate,
+//	     /fleet/v3/membership, /fleet/v3/handoff
 //	                the peer-to-peer protocol, binary-encoded (mounted with
 //	                -peers or -join)
 //

@@ -612,7 +612,6 @@ func (n *Node) lookup(ctx context.Context, peer, key string, req serve.Request, 
 		return nil, err
 	}
 	wreq := &LookupRequest{
-		Key:        key,
 		Spec:       spec,
 		Generation: n.svc.Generation(),
 		Epoch:      n.Epoch(),

@@ -71,7 +71,7 @@ func lookupRequestFor(t *testing.T, key string, bound serve.Request, gen uint64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &LookupRequest{Key: key, Spec: spec, Generation: gen}
+	return &LookupRequest{Spec: spec, Generation: gen}
 }
 
 func totalOptimizations(nodes map[string]*Node) int64 {

@@ -15,10 +15,10 @@ import (
 // version answers 404, which the requester treats as a peer miss, instead
 // of misreading the body.
 const (
-	lookupPath     = "/fleet/v2/lookup"
-	propagatePath  = "/fleet/v2/propagate"
-	membershipPath = "/fleet/v2/membership"
-	handoffPath    = "/fleet/v2/handoff"
+	lookupPath     = "/fleet/v3/lookup"
+	propagatePath  = "/fleet/v3/propagate"
+	membershipPath = "/fleet/v3/membership"
+	handoffPath    = "/fleet/v3/handoff"
 )
 
 const contentType = "application/octet-stream"
@@ -34,7 +34,7 @@ const (
 )
 
 // HTTPTransport dials peers over HTTP: a peer name is a host:port and the
-// protocol is POST of wire.go's binary messages on the /fleet/v2/* paths
+// protocol is POST of wire.go's binary messages on the /fleet/v3/* paths
 // that Handler mounts.
 type HTTPTransport struct {
 	// Client, when nil, uses a private client with sane timeouts.

@@ -61,8 +61,6 @@ type HandoffReply struct {
 // when it can and runs (single-flighted) the optimization when it cannot,
 // which is what keeps a fleet-wide stampede at exactly one engine run.
 type LookupRequest struct {
-	// Key is the generation-free canonical request key (ownership identity).
-	Key string
 	// Spec is the request itself, which the owner rebinds and re-keys
 	// against its own catalog.
 	Spec WarmSpec

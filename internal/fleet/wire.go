@@ -162,7 +162,6 @@ func (e *encoder) spec(s *WarmSpec) {
 }
 
 func (e *encoder) lookupRequest(r *LookupRequest) {
-	e.str(r.Key)
 	e.spec(&r.Spec)
 	e.uvarint(r.Generation)
 	e.uvarint(r.Epoch)
@@ -348,7 +347,6 @@ func (d *decoder) spec(s *WarmSpec) {
 }
 
 func (d *decoder) lookupRequest(r *LookupRequest) {
-	r.Key = d.str()
 	d.spec(&r.Spec)
 	r.Generation = d.uvarint()
 	r.Epoch = d.uvarint()

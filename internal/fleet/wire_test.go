@@ -29,16 +29,7 @@ func wireSamples(t testing.TB) []any {
 	t.Helper()
 	cat, _, _ := workload.Example11()
 	svc := serve.New(cat, serve.Config{})
-	req := exampleRequest()
-	chain, err := stats.NewChain([]float64{700, 2000}, [][]float64{{0.9, 0.1}, {0.25, 0.75}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Env.Chain = chain
-	bound, key, err := svc.Canonicalize(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bound, key := chainedExample(t, svc)
 	spec, err := newWarmSpec(key, bound)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +50,7 @@ func wireSamples(t testing.TB) []any {
 		MemVals:  []float64{math.SmallestNonzeroFloat64, math.MaxFloat64},
 	}
 	return []any{
-		&LookupRequest{Key: key, Spec: spec, Generation: 1 << 40, Epoch: 2, From: "n1", Hedge: true},
+		&LookupRequest{Spec: spec, Generation: 1 << 40, Epoch: 2, From: "n1", Hedge: true},
 		reply,
 		&propagateMsg{Generation: 300},
 		&MembershipMsg{Epoch: 9, Peers: []string{"127.0.0.1:7081", "", "nœud"}, From: "127.0.0.1:7081"},
@@ -146,6 +137,23 @@ func TestWireEmptyListDecodesNil(t *testing.T) {
 	}
 }
 
+// chainedExample canonicalizes the example request under a Markov memory
+// chain, returning the bound request and its key.
+func chainedExample(t testing.TB, svc *serve.Service) (serve.Request, string) {
+	t.Helper()
+	req := exampleRequest()
+	chain, err := stats.NewChain([]float64{700, 2000}, [][]float64{{0.9, 0.1}, {0.25, 0.75}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Env.Chain = chain
+	bound, key, err := svc.Canonicalize(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bound, key
+}
+
 // TestWireChainRoundTripsToServe carries a Markov memory chain across the
 // wire and rebuilds it: the rebuilt request keeps the sender's key.
 func TestWireChainRoundTripsToServe(t *testing.T) {
@@ -162,12 +170,14 @@ func TestWireChainRoundTripsToServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat, _, _ := workload.Example11()
-	_, key, err := serve.New(cat, serve.Config{}).Canonicalize(sreq)
+	svc := serve.New(cat, serve.Config{})
+	_, sent := chainedExample(t, svc)
+	_, key, err := svc.Canonicalize(sreq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if key != lr.Key {
-		t.Fatalf("request key changed across the wire:\n  sent     %q\n  received %q", lr.Key, key)
+	if key != sent {
+		t.Fatalf("request key changed across the wire:\n  sent     %q\n  received %q", sent, key)
 	}
 }
 
@@ -182,12 +192,12 @@ func TestWireRejectsHostileLengths(t *testing.T) {
 		data []byte
 		msg  any
 	}{
-		// Key "", SQL "", strategy 0, then a 2^62-element JoinSels.
-		{"float list of 2^62", cat([]byte{tagLookupRequest, 0, 0, 0}, huge, pad), new(LookupRequest)},
+		// SQL "", strategy 0, then a 2^62-element JoinSels.
+		{"float list of 2^62", cat([]byte{tagLookupRequest, 0, 0}, huge, pad), new(LookupRequest)},
 		{"string past the end", cat([]byte{tagLookupRequest}, binary.AppendUvarint(nil, 1000), []byte("abc")), new(LookupRequest)},
 		{"peer list of 2^62", cat([]byte{tagMembership, 1}, huge, pad), new(MembershipMsg)},
 		{"handoff entries of 2^62", cat([]byte{tagHandoffRequest, 0, 1}, huge, pad), new(HandoffRequest)},
-		{"chain rows of 2^62", cat([]byte{tagLookupRequest, 0, 0, 0, 0, 0, 0, 0, 0}, huge, pad), new(LookupRequest)},
+		{"chain rows of 2^62", cat([]byte{tagLookupRequest, 0, 0, 0, 0, 0, 0, 0}, huge, pad), new(LookupRequest)},
 		{"plan past the end", cat([]byte{tagLookupReply, 0, 0, 0, 0, 0}, make([]byte, 24), []byte{0, 0, 0, 0, 0}, make([]byte, 8), huge), new(LookupReply)},
 	} {
 		var err error
@@ -219,7 +229,7 @@ func TestWireRejectsMalformed(t *testing.T) {
 		{"truncated", good[:len(good)-1], new(MembershipMsg), errWireLength},
 		{"non-minimal uvarint", []byte{tagPropagate, 0x81, 0x00}, new(propagateMsg), errWireVarint},
 		{"overlong uvarint", append([]byte{tagPropagate}, bytes.Repeat([]byte{0xff}, 11)...), new(propagateMsg), errWireVarint},
-		{"bool of 2", append(marshal(&LookupRequest{})[:13], 2), new(LookupRequest), errWireBool},
+		{"bool of 2", append(marshal(&LookupRequest{})[:12], 2), new(LookupRequest), errWireBool},
 		{"float cut short", []byte{tagLookupReply, 0, 0, 0, 0, 0, 1, 2}, new(LookupReply), errWireShort},
 	} {
 		if err := unmarshal(tc.data, tc.msg); err != tc.want {

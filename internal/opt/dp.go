@@ -31,7 +31,7 @@ type Result struct {
 	// Rung names the ladder rung that produced a degraded plan: RungFull
 	// (empty) for a completed search, RungPartial for the best complete
 	// plan the interrupted search had finished, RungGreedy for the greedy
-	// fallback at the distribution mean.
+	// planner's plan priced in expectation over the coster's distributions.
 	Rung string
 	// Enumeration is the lattice enumerator that was actually in effect:
 	// the requested Options.Enumeration, except that EnumConnected reports

@@ -187,7 +187,7 @@ type Optimizer struct {
 	// session's sizing is dense; sparse runs allocate fresh tables per run.
 	dp        []dpEntry    // dense left-deep / bushy DP backing, indexed by RelSet
 	top       [][]topEntry // dense top-c backing, indexed by RelSet
-	dpt       dpTab        // the current run's DP table (salvage reads it too)
+	dpt       dpTab        // the current run's DP table
 	topt      topTab       // the current run's top-c table
 	scanTops  [][]topEntry // per-relation sorted access paths (top-c)
 	scanTopsC int          // the c scanTops was truncated to
@@ -309,12 +309,17 @@ func (o *Optimizer) compileFor(ctx *Context) stepPricer {
 // phaseDists renders the coster's parameter model as per-phase memory
 // distributions: a fixed value is a point distribution, a static
 // distribution is one phase (every phase index clamps to it), and a Markov
-// chain is unrolled for the query's n−1 join phases.
+// chain is unrolled for the query's n−1 join phases. Algorithm D's
+// multi-parameter coster renders as its memory distribution alone, which
+// the greedy planner scores with point size estimates; Config.validate
+// rejects it under the risk objectives, whose pricers also call this.
 func (o *Optimizer) phaseDists() []*stats.Dist {
 	switch c := o.cfg.Coster.(type) {
 	case FixedParams:
 		return []*stats.Dist{stats.Point(c.Mem)}
 	case StaticParams:
+		return []*stats.Dist{c.Mem}
+	case MultiParams:
 		return []*stats.Dist{c.Mem}
 	case PhasedParams:
 		return c.Phases

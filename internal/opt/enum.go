@@ -298,27 +298,6 @@ func (t *dpTab) put(s query.RelSet, e dpEntry) {
 	t.sparse.put(s, e)
 }
 
-// forEach calls f for every solved subset in ascending order.
-func (t *dpTab) forEach(f func(s query.RelSet, e dpEntry)) {
-	if t.dense != nil {
-		for s, e := range t.dense {
-			if e.node != nil {
-				f(query.RelSet(s), e)
-			}
-		}
-		return
-	}
-	if t.sparse == nil {
-		return
-	}
-	for _, k := range t.sparse.keysSorted() {
-		e, _ := t.sparse.get(k)
-		if e.node != nil {
-			f(k, e)
-		}
-	}
-}
-
 // topTab is the top-c list table (Algorithm B), same dense/sparse split.
 type topTab struct {
 	dense  [][]topEntry
@@ -339,25 +318,4 @@ func (t *topTab) put(s query.RelSet, l []topEntry) {
 		return
 	}
 	t.sparse.put(s, l)
-}
-
-// forEach calls f for every non-empty list in ascending subset order.
-func (t *topTab) forEach(f func(s query.RelSet, l []topEntry)) {
-	if t.dense != nil {
-		for s, l := range t.dense {
-			if len(l) > 0 {
-				f(query.RelSet(s), l)
-			}
-		}
-		return
-	}
-	if t.sparse == nil {
-		return
-	}
-	for _, k := range t.sparse.keysSorted() {
-		l, _ := t.sparse.get(k)
-		if len(l) > 0 {
-			f(k, l)
-		}
-	}
 }

@@ -21,10 +21,10 @@ import (
 //     honor a context.Context deadline and a work Budget metered by the
 //     session's own instrumentation counters;
 //   - the search is *anytime*: on interruption the engine degrades down a
-//     ladder — best complete plan found so far, then greedy completion of
-//     the deepest partial DP result, then greedy join ordering from scratch
-//     at the parameter distribution's mean — so a valid executable plan is
-//     always returned, flagged via Result.Degraded;
+//     ladder — best complete plan found so far, then the tier's greedy join
+//     ordering priced in expectation over the coster's distributions
+//     (tier.go's greedyPlan) — so a valid executable plan is always
+//     returned, flagged via Result.Degraded;
 //   - cost-formula evaluations are guarded against NaN/±Inf poisoning and
 //     instrumented as fault-injection sites, and the whole primary search
 //     runs under a recover so a panicking coster degrades instead of
@@ -88,8 +88,9 @@ const (
 	// already finished (for the pipelined space this is a fully-scored
 	// left-deep plan; for the DPs a root candidate).
 	RungPartial = "partial-search"
-	// RungGreedy: greedy join ordering at the distribution mean, possibly
-	// seeded with the deepest partial DP result.
+	// RungGreedy: the greedy planner's plan, priced in expectation over
+	// the coster's phase distributions. Its Result.Cost is that expected
+	// cost, also under a risk objective (not a certainty equivalent).
 	RungGreedy = "greedy"
 )
 
@@ -447,173 +448,14 @@ func (o *Optimizer) fallbackGuarded() (res *Result, err error) {
 	return o.runGreedy()
 }
 
-// fallbackMem is the single representative memory value the greedy rung
-// prices at: the mean of the coster's (initial) distribution — exactly the
-// value the classical LSC optimizer would have assumed.
-func (o *Optimizer) fallbackMem() float64 {
-	switch c := o.cfg.Coster.(type) {
-	case FixedParams:
-		return c.Mem
-	case StaticParams:
-		return c.Mem.Mean()
-	case PhasedParams:
-		return c.Phases[0].Mean()
-	case MarkovParams:
-		return c.Initial.Mean()
-	case MultiParams:
-		return c.Mem.Mean()
-	default:
-		return 1
-	}
-}
-
-// runGreedy is the guaranteed-fallback rung: greedy join ordering at the
-// distribution mean, seeded with the deepest partial result the interrupted
-// DP left behind (the "left-deep completion" of whatever was already paid
-// for). Its work is O(n²·|methods|) — negligible next to any budget that
-// could have been exhausted — and it bypasses the configured pricer and the
-// fault-injection sites, so it succeeds even when the coster panics or
-// returns garbage.
+// runGreedy is the guaranteed-fallback rung: the tier's expected-cost
+// greedy planner over the coster's phase distributions, without the tier's
+// fault site. Its O(n²·|methods|·|support|) work is negligible next to any
+// budget that could have been exhausted.
 func (o *Optimizer) runGreedy() (*Result, error) {
-	ctx := o.ctx
-	n := ctx.Q.NumRels()
-	if n == 0 {
-		return nil, fmt.Errorf("opt: empty query")
+	gp, err := o.greedyPlan(o.phaseDists(), o.ctx.Opts.TierRisk.normalize())
+	if err != nil {
+		return nil, err
 	}
-	mem := o.fallbackMem()
-	if math.IsNaN(mem) || math.IsInf(mem, 0) || mem <= 0 {
-		mem = 1
-	}
-	if n == 1 {
-		best := ctx.BestScan(0)
-		finished, added := ctx.FinishPlan(best)
-		total := best.AccessCost()
-		if added {
-			total += cost.SortCost(best.OutPages(), mem)
-		}
-		return &Result{Plan: finished, Cost: total, Count: ctx.snapshotCount()}, nil
-	}
-	// Greedy completion quality depends heavily on the seed: a single
-	// cheapest-scan opening (or a salvage base picked by depth) can walk
-	// into a corner of the join graph whose completion is many orders of
-	// magnitude off. So the rung runs a small seed portfolio — every start
-	// relation plus whatever the interrupted DP left behind — and keeps the
-	// cheapest completed plan. Each completion is O(n²·|methods|), so the
-	// whole portfolio stays O(n³·|methods|): negligible next to any budget
-	// that could have been exhausted.
-	seeds := make([]greedySeed, 0, n+2)
-	for i := 0; i < n; i++ {
-		s := ctx.BestScan(i)
-		seeds = append(seeds, greedySeed{s, query.NewRelSet(i), s.AccessCost()})
-	}
-	seeds = append(seeds, o.salvageSeeds(mem)...)
-	var node plan.Node
-	total := math.Inf(1)
-	var lastErr error
-	for _, sd := range seeds {
-		ext, sum, err := ctx.greedyExtend(sd.node, sd.set, mem)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if c := sd.cost + sum; c < total {
-			node, total = ext, c
-		}
-	}
-	if node == nil {
-		return nil, lastErr
-	}
-	finished, added := ctx.FinishPlan(node)
-	if added {
-		total += cost.SortCost(node.OutPages(), mem)
-	}
-	return &Result{Plan: finished, Cost: total, Count: ctx.snapshotCount()}, nil
-}
-
-// greedySeed is one starting point for the greedy fallback: a partial plan,
-// the relations it covers, and its cost re-priced at the fallback memory.
-type greedySeed struct {
-	node plan.Node
-	set  query.RelSet
-	cost float64
-}
-
-// salvageSeeds extracts up to two greedy seeds from whatever the interrupted
-// run had already solved: the deepest subset (most paid-for work preserved)
-// and the cheapest subset of size ≥ 2 (safest base). Both the single-best DP
-// table and Algorithm B's top-c lists are inspected; entries of size 1 are
-// skipped (the scratch portfolio already covers every single-relation
-// opening).
-func (o *Optimizer) salvageSeeds(mem float64) []greedySeed {
-	var deepest, cheapest greedySeed
-	deepestLen := 1
-	deepest.cost = math.Inf(1)
-	cheapest.cost = math.Inf(1)
-	consider := func(s query.RelSet, node plan.Node) {
-		if node == nil {
-			return
-		}
-		l := s.Len()
-		if l < 2 {
-			return
-		}
-		c := plan.Cost(node, mem)
-		if math.IsNaN(c) || math.IsInf(c, 0) {
-			return
-		}
-		if l > deepestLen || (l == deepestLen && c < deepest.cost) {
-			deepest, deepestLen = greedySeed{node, s, c}, l
-		}
-		if c < cheapest.cost {
-			cheapest = greedySeed{node, s, c}
-		}
-	}
-	// Both the single-best DP table and the top-c lists are inspected via
-	// their dense-or-sparse forms; a zero-value table (the run never built
-	// one, e.g. the pipelined space) yields nothing.
-	o.dpt.forEach(func(s query.RelSet, e dpEntry) { consider(s, e.node) })
-	o.topt.forEach(func(s query.RelSet, l []topEntry) { consider(s, l[0].node) })
-	var seeds []greedySeed
-	if deepest.node != nil {
-		seeds = append(seeds, deepest)
-	}
-	if cheapest.node != nil && cheapest.set != deepest.set {
-		seeds = append(seeds, cheapest)
-	}
-	return seeds
-}
-
-// greedyExtend grows a partial left-deep plan to cover every relation,
-// at each step joining in the (relation, method) pair of least specific
-// cost at mem. The cross-product policy is respected; extensionAllowed
-// guarantees at least one admissible extension whenever relations remain.
-func (ctx *Context) greedyExtend(cur plan.Node, used query.RelSet, mem float64) (plan.Node, float64, error) {
-	n := ctx.Q.NumRels()
-	total := 0.0
-	for used.Len() < n {
-		bestJ, bestM, bestC := -1, cost.Method(0), math.Inf(1)
-		for j := 0; j < n; j++ {
-			if used.Has(j) || !ctx.extensionAllowed(used, j) {
-				continue
-			}
-			scan := ctx.BestScan(j)
-			for _, m := range ctx.Opts.Methods {
-				c := scan.AccessCost() + cost.JoinCost(m, cur.OutPages(), scan.OutPages(), mem)
-				if math.IsNaN(c) {
-					continue
-				}
-				if c < bestC || bestJ < 0 {
-					bestJ, bestM, bestC = j, m, c
-				}
-			}
-		}
-		if bestJ < 0 {
-			return nil, 0, fmt.Errorf("opt: greedy fallback found no admissible extension of %v", used)
-		}
-		s := used.Add(bestJ)
-		cur = ctx.NewJoin(cur, ctx.BestScan(bestJ), bestM, s, bestJ)
-		used = s
-		total += bestC
-	}
-	return cur, total, nil
+	return &Result{Plan: gp.node, Cost: gp.cost, Count: o.ctx.snapshotCount()}, nil
 }

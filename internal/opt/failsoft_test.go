@@ -8,6 +8,7 @@ package opt
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // failsoftConfigs enumerates the strategy × space grid the fault matrix
@@ -375,17 +377,79 @@ func TestBudgetLadderReachesOptimum(t *testing.T) {
 }
 
 // TestGreedyFallbackDirect exercises the terminal rung in isolation: with a
-// 1-eval budget nothing completes, so the greedy plan is the answer.
+// 1-eval budget nothing completes, so the greedy plan is the answer. The
+// rung is the tier's greedy planner, so wherever the tier serves, a forced
+// TierGreedy run of the same configuration returns the same plan and cost;
+// and the rung's Cost is the plan's expected cost under the coster's phase
+// distributions (an expected cost also under a risk objective). The n=30
+// chain under the connected enumerator covers sparse memos and a query far
+// past the exhaustive lattice.
 func TestGreedyFallbackDirect(t *testing.T) {
-	cat, q, dm := engineTestInstance(t, 7202, 6)
-	res, err := AlgorithmCCtx(context.Background(), cat, q, Options{Budget: Budget{MaxCostEvals: 1}}, dm)
-	if err != nil {
-		t.Fatal(err)
+	type fallbackCase struct {
+		cat  *catalog.Catalog
+		q    *query.SPJ
+		opts Options
+		cfg  Config
 	}
-	checkValidPlan(t, res, q, "greedy")
-	if !res.Degraded {
-		t.Error("1-eval budget did not degrade")
+	cases := map[string]fallbackCase{}
+	for _, seed := range []int64{7202, 7203, 7204} {
+		cat, q, dm := engineTestInstance(t, seed, 6)
+		for name, cfg := range failsoftConfigs(dm) {
+			cases[fmt.Sprintf("%s/seed%d", name, seed)] = fallbackCase{cat, q, Options{}, cfg}
+		}
 	}
+	cat, q := randInstance(t, 7205, 30, workload.Chain, true)
+	cases["static/chain30-connected"] = fallbackCase{cat, q, Options{Enumeration: EnumConnected},
+		Config{Coster: StaticParams{Mem: randMemDist3(7205)}}}
+
+	greedy, matched := 0, 0
+	for name, c := range cases {
+		opts := c.opts
+		opts.Budget = Budget{MaxCostEvals: 1}
+		eng, err := NewOptimizer(c.cat, c.q, opts, c.cfg)
+		if err != nil {
+			t.Fatalf("%s: NewOptimizer: %v", name, err)
+		}
+		res, err := eng.OptimizeCtx(context.Background())
+		if err != nil {
+			t.Fatalf("%s: OptimizeCtx: %v", name, err)
+		}
+		checkValidPlan(t, res, c.q, name)
+		if !res.Degraded {
+			t.Errorf("%s: 1-eval budget did not degrade", name)
+		}
+		if res.Rung != RungGreedy {
+			continue
+		}
+		greedy++
+		forcedOpts := c.opts
+		forcedOpts.Tier = TierGreedy
+		forced, err := NewOptimizer(c.cat, c.q, forcedOpts, c.cfg)
+		if err != nil {
+			t.Fatalf("%s: forced NewOptimizer: %v", name, err)
+		}
+		fres, err := forced.Optimize()
+		if err != nil {
+			t.Fatalf("%s: forced greedy: %v", name, err)
+		}
+		if fres.Tier == TierNameGreedy {
+			matched++
+			if res.Plan.Key() != fres.Plan.Key() || res.Cost != fres.Cost {
+				t.Errorf("%s: rung plan %s cost %v, forced greedy tier %s cost %v",
+					name, res.Plan.Key(), res.Cost, fres.Plan.Key(), fres.Cost)
+			}
+		}
+		if _, multi := c.cfg.Coster.(MultiParams); multi {
+			continue
+		}
+		if ec := plan.ExpCostPhased(res.Plan, eng.phaseDists()); relDiff(res.Cost, ec) > 1e-9 {
+			t.Errorf("%s: rung Cost %v, plan's expected cost %v", name, res.Cost, ec)
+		}
+	}
+	if greedy == 0 {
+		t.Fatal("no configuration reached the greedy rung")
+	}
+	t.Logf("%d of %d cases on the greedy rung, %d matched against a forced greedy tier", greedy, len(cases), matched)
 }
 
 // TestSingleRelationFailsoft: the n=1 corner under faults.

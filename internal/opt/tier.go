@@ -177,17 +177,6 @@ type tierPlan struct {
 	boundary float64 // max per-step probability mass near a breakpoint
 }
 
-// tierPhaseDists renders the coster as per-phase memory distributions for
-// greedy scoring. Unlike phaseDists it also accepts MultiParams (scoring at
-// the memory distribution with point size estimates), so a pinned TierGreedy
-// works under Algorithm D's coster too.
-func (o *Optimizer) tierPhaseDists() []*stats.Dist {
-	if c, ok := o.cfg.Coster.(MultiParams); ok {
-		return []*stats.Dist{c.Mem}
-	}
-	return o.phaseDists()
-}
-
 // tierDistAt indexes the phase distributions with plan.ExpCostPhased's
 // clamping semantics.
 func tierDistAt(phases []*stats.Dist, i int) *stats.Dist {
@@ -226,7 +215,7 @@ func (o *Optimizer) tierGate() (*Result, bool) {
 		return nil, false
 	}
 
-	phases := o.tierPhaseDists()
+	phases := o.phaseDists()
 	t0 := time.Now()
 	gp, err := o.tierGreedyGuarded(phases, risk)
 	nanos := time.Since(t0).Nanoseconds()
@@ -350,30 +339,39 @@ func (o *Optimizer) tierGreedyGuarded(phases []*stats.Dist, risk TierRisk) (gp t
 	return o.tierGreedy(phases, risk)
 }
 
-// tierGreedy is the rung-zero planner: greedy left-deep join ordering by
-// minimum expected output cardinality over the join graph, with each step's
-// method chosen by minimum expected join cost under that phase's memory
-// distribution. It is allocation-light — the only allocations are the plan
-// nodes themselves (interned in the session arena) and the subset-size memo
-// entries — and O(n²·|methods|·|support|) work, which keeps chain/star n=20
-// plans under 100µs.
-//
-// The returned cost equals plan.ExpCostPhased(node, phases) by linearity of
-// expectation: scans are priced at AccessCost, join k in expectation over
-// phases[k], and the final sort (if any) over the last join's phase.
+// tierGreedy is the rung-zero planner: greedyPlan behind the tier's own
+// guards — the tier/greedy fault-injection site and the request-context
+// check. The fail-soft ladder's terminal rung calls greedyPlan directly,
+// since it must not fail on the faults that sent the run down the ladder.
 func (o *Optimizer) tierGreedy(phases []*stats.Dist, risk TierRisk) (tierPlan, error) {
-	ctx := o.ctx
 	switch faultinject.Check(faultinject.TierGreedy) {
 	case faultinject.KindNaN, faultinject.KindInf, faultinject.KindDrop:
 		return tierPlan{}, fmt.Errorf("%w: injected non-finite plan score", errTierFault)
 	}
 	// A stall above may have outlived the request deadline; planning a stale
 	// request wastes the DP's remaining budget, so bail to the ladder now.
-	if ctx.reqCtx != nil {
+	if ctx := o.ctx; ctx.reqCtx != nil {
 		if cerr := ctx.reqCtx.Err(); cerr != nil {
 			return tierPlan{}, fmt.Errorf("%w: %v", errTierFault, cerr)
 		}
 	}
+	return o.greedyPlan(phases, risk)
+}
+
+// greedyPlan is the engine's one greedy planner: left-deep join ordering by
+// minimum expected output cardinality over the join graph, with each step's
+// method chosen by minimum expected join cost under that phase's memory
+// distribution. It prices with cost.JoinCost/SortCost directly, never the
+// configured pricer or a fault-injection site. It is allocation-light — the
+// only allocations are the plan nodes themselves (interned in the session
+// arena) and the subset-size memo entries — and O(n²·|methods|·|support|)
+// work, which keeps chain/star n=20 plans under 100µs.
+//
+// The returned cost equals plan.ExpCostPhased(node, phases) by linearity of
+// expectation: scans are priced at AccessCost, join k in expectation over
+// phases[k], and the final sort (if any) over the last join's phase.
+func (o *Optimizer) greedyPlan(phases []*stats.Dist, risk TierRisk) (tierPlan, error) {
+	ctx := o.ctx
 	n := ctx.Q.NumRels()
 	if n == 0 {
 		return tierPlan{}, fmt.Errorf("opt: empty query")

@@ -116,7 +116,7 @@ func TestTierGreedyAlwaysValidRandomGraphs(t *testing.T) {
 				seed, res.Tier, res.TierReason)
 		}
 		checkGreedyPlanShape(t, q, res.Plan)
-		rescored := plan.ExpCostPhased(res.Plan, eng.tierPhaseDists())
+		rescored := plan.ExpCostPhased(res.Plan, eng.phaseDists())
 		if relDiff(res.Cost, rescored) > 1e-9 {
 			t.Fatalf("seed %d: served cost %v != re-scored cost %v",
 				seed, res.Cost, rescored)
@@ -164,7 +164,7 @@ func TestTierAutoGapBoundRandomGraphs(t *testing.T) {
 				t.Fatalf("seed %d: served reason %q, want %q", seed, res.TierReason, TierLowRisk)
 			}
 			checkGreedyPlanShape(t, q, res.Plan)
-			trueCost := plan.ExpCostPhased(res.Plan, auto.tierPhaseDists())
+			trueCost := plan.ExpCostPhased(res.Plan, auto.phaseDists())
 			bound := (1 + risk.MaxGap) * dp.Cost * (1 + 1e-9)
 			if trueCost > bound {
 				t.Fatalf("seed %d shape %v n=%d: served greedy true cost %v exceeds (1+%.2f)·OPT = %v (OPT %v, reported gap %.3f)",
@@ -305,7 +305,7 @@ func TestTierLowerBoundAdmissible(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		lb := eng.tierLowerBound(eng.tierPhaseDists())
+		lb := eng.tierLowerBound(eng.phaseDists())
 		if math.IsNaN(lb) || math.IsInf(lb, 0) {
 			t.Fatalf("seed %d: non-finite lower bound %v", seed, lb)
 		}
