@@ -29,11 +29,10 @@ test:
 	$(GO) test ./...
 
 # The unified engine shares memo tables and a plan arena across runs, and
-# the level-synchronized parallel driver shares both across worker
-# goroutines; run the optimizer package at -cpu 1,4 so the parallel DP's
-# locking is exercised both starved and oversubscribed.
+# pooled sessions hand their scratch between goroutines; run the optimizer
+# core and the facade under the race detector.
 race:
-	$(GO) test -race -cpu 1,4 ./internal/opt
+	$(GO) test -race ./internal/opt
 	$(GO) test -race ./lec
 
 # The serving layer is all shared mutable state (cache shards, admission
@@ -58,9 +57,7 @@ fleet-chaos:
 	LEC_CHAOS_ROUNDS=$(CHAOS_ROUNDS) $(GO) test -race -run TestFleetChaosSoak -v ./internal/fleet
 
 # -cpu=1 pins GOMAXPROCS so ns/op is comparable across hosts and against
-# the checked-in baseline (BenchmarkDPCoreParallel sizes its worker pool
-# from GOMAXPROCS). For the multi-core scaling sweep run
-# `go test -bench=BenchmarkDPCoreParallel -cpu 1,2,4 ./internal/opt`.
+# the checked-in baseline.
 # BenchmarkFacadeCold is the public facade over a mixed 3-10 relation cold
 # workload; its B/op and allocs/op track what one served plan costs the
 # heap on the pooled-session path. BenchmarkServeHit and

@@ -9,7 +9,6 @@
 //	lecd -demo                              # paper's Example 1.1 catalog
 //	lecd -catalog schema.txt -addr :7077
 //	lecd -demo -workers 4 -queue 32 -timeout 2s
-//	lecd -demo -workers 4 -parallelism 4     # multi-core plan search per request
 //	lecd -demo -addr 127.0.0.1:7081 \
 //	     -peers 127.0.0.1:7081,127.0.0.1:7082 \
 //	     -snapshot /var/lib/lecd/plans.snap   # fleet member with warm start
@@ -125,7 +124,6 @@ func run(args []string, out, errOut io.Writer) error {
 	demo := fs.Bool("demo", false, "serve the paper's Example 1.1 catalog (and default query)")
 	catalogPath := fs.String("catalog", "", "catalog description file")
 	workers := fs.Int("workers", 0, "concurrent optimizations (0 = GOMAXPROCS)")
-	parallelism := fs.Int("parallelism", 1, "per-request engine parallelism ceiling, degraded toward 1 as worker slots fill")
 	enum := fs.String("enum", "exhaustive", "subset-lattice enumerator for every request: exhaustive|connected")
 	tier := fs.String("tier", "dp", "planning tier: dp (always full search), auto (greedy fast path with risk-triggered escalation), greedy (never escalate)")
 	queue := fs.Int("queue", 0, "queued requests beyond workers before shedding (0 = default 64)")
@@ -177,7 +175,6 @@ func run(args []string, out, errOut io.Writer) error {
 	}
 	d.svc = serve.New(cat, serve.Config{
 		Workers:        *workers,
-		Parallelism:    *parallelism,
 		QueueDepth:     *queue,
 		CacheCapacity:  *cache,
 		DefaultTimeout: *timeout,

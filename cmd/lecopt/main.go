@@ -11,7 +11,6 @@
 //	lecopt -demo -strategy c -explain       # engine instrumentation counters
 //	lecopt -demo -strategy c -trace         # per-subset DP decision trace
 //	lecopt -demo -timeout 50ms -budget 1000 # fail-soft: bounded optimization
-//	lecopt -demo -strategy c -parallel 0    # multi-core DP (0 = all cores)
 //	lecopt -demo -strategy c -enum connected # graph-aware enumeration (csg only)
 //
 // The -mem spec is "value:probability, ..." (weights are normalized). The
@@ -36,7 +35,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"sort"
 	"text/tabwriter"
 
@@ -106,7 +104,6 @@ func run(args []string, out, errOut io.Writer) error {
 	trace := fs.Bool("trace", false, "record and print the per-subset DP decision trace (single -strategy runs)")
 	timeout := fs.Duration("timeout", 0, "optimization deadline; on expiry a degraded fallback plan is returned (0 = none)")
 	budget := fs.Int("budget", 0, "max cost-formula evaluations per optimization; on exhaustion a degraded fallback plan is returned (0 = unlimited)")
-	parallel := fs.Int("parallel", 1, "DP search parallelism: worker goroutines per level (0 = GOMAXPROCS); plans are identical at any setting")
 	enum := fs.String("enum", "exhaustive", "subset-lattice enumerator: exhaustive|connected (connected skips cross-join subsets; falls back to exhaustive on disconnected join graphs)")
 	tier := fs.String("tier", "dp", "planning tier: dp (always full search), auto (greedy fast path with risk-triggered escalation to the DP), greedy (serve the fast path unconditionally)")
 	fs.Usage = func() {
@@ -191,9 +188,6 @@ serving:
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	if *parallel <= 0 {
-		*parallel = runtime.GOMAXPROCS(0)
-	}
 	enumMode, err := lec.ParseEnumeration(*enum)
 	if err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
@@ -202,7 +196,7 @@ serving:
 	if err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
-	o := lec.NewWithOptions(cat, lec.Options{Budget: lec.Budget{MaxCostEvals: *budget}, Trace: *trace, Parallelism: *parallel, Enumeration: enumMode, Tier: tierMode})
+	o := lec.NewWithOptions(cat, lec.Options{Budget: lec.Budget{MaxCostEvals: *budget}, Trace: *trace, Enumeration: enumMode, Tier: tierMode})
 	fmt.Fprintf(out, "query:  %s\nmemory: %s\n\n", queryText, dm)
 
 	if *choice {
@@ -248,7 +242,7 @@ serving:
 			}
 		}
 		if *explain {
-			printStats(out, d, *budget, *parallel)
+			printStats(out, d, *budget)
 		}
 		if *simulate > 0 {
 			rep, err := d.Simulate(*simulate, 1)
@@ -280,7 +274,7 @@ serving:
 	tw.Flush()
 	fmt.Fprintf(out, "\nbest plan (%v):\n%s", ds[0].Strategy, ds[0].Explain())
 	if *explain {
-		printStats(out, ds[0], *budget, *parallel)
+		printStats(out, ds[0], *budget)
 	}
 	return nil
 }
@@ -304,13 +298,13 @@ func warnDegraded(errOut io.Writer, d *lec.Decision) {
 // DP searches, degraded anytime fallbacks, and tier-zero greedy serves alike
 // — so the explain output never loses its planning context when the engine
 // took a shortcut.
-func printStats(out io.Writer, d *lec.Decision, budget, parallel int) {
+func printStats(out io.Writer, d *lec.Decision, budget int) {
 	s := d.Stats
 	fmt.Fprint(out, "origin: ", provenance(d, budget), "\n")
 	fmt.Fprintf(out, "search: %d subsets, %d join steps, %d cost evals, %d prunes\n",
 		s.Subsets, s.JoinSteps, s.CostEvals, s.Prunes)
-	fmt.Fprintf(out, "enum:   %v; %d lattice subsets emitted, %d skipped as disconnected; parallelism %d\n",
-		d.Enumeration, s.SubsetsEnumerated, s.SubsetsSkipped, parallel)
+	fmt.Fprintf(out, "enum:   %v; %d lattice subsets emitted, %d skipped as disconnected\n",
+		d.Enumeration, s.SubsetsEnumerated, s.SubsetsSkipped)
 	fmt.Fprintf(out, "memo:   %d hits; arena: %d nodes, %d hits, %d built\n",
 		s.MemoHits, s.ArenaSize, s.ArenaHits, s.PlansBuilt)
 	if s.MergeCombos > 0 {

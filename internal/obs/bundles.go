@@ -40,15 +40,6 @@ type OptMetrics struct {
 	// discretization error; refining buckets can only shrink it).
 	BucketErrBound *Counter
 
-	// Parallel-search instruments: runs that used the level-synchronized
-	// driver, summed per-worker busy time, and summed time worker slots
-	// spent waiting at level barriers (wall × workers − busy, per level).
-	// BusySeconds / (BusySeconds + BarrierWaitSeconds) is the fleet's
-	// worker utilization.
-	ParallelRuns       *Counter
-	WorkerBusySeconds  *Counter
-	BarrierWaitSeconds *Counter
-
 	// Tier is the tiered-planning bundle (nil when the registry is nil).
 	Tier *TierMetrics
 }
@@ -155,9 +146,6 @@ func NewOptMetrics(reg *Registry) *OptMetrics {
 		Degradations:       reg.Counter("lec_opt_degradations_total", "Optimizations that returned a degraded (fallback) plan."),
 		PanicsRecovered:    reg.Counter("lec_opt_panics_recovered_total", "Panics recovered inside the search engine."),
 		BucketErrBound:     reg.Counter("lec_opt_bucket_err_bound_total", "Accumulated equi-depth bucketing spread bound (page I/Os)."),
-		ParallelRuns:       reg.Counter("lec_opt_parallel_runs_total", "Optimization runs executed by the level-synchronized parallel driver."),
-		WorkerBusySeconds:  reg.Counter("lec_opt_worker_busy_seconds_total", "Summed per-worker busy time of parallel DP levels."),
-		BarrierWaitSeconds: reg.Counter("lec_opt_barrier_wait_seconds_total", "Summed worker-slot idle time at parallel DP level barriers."),
 		Tier:               newTierMetrics(reg, phase),
 	}
 }

@@ -26,17 +26,6 @@ import (
 // consistent ("the size of the result is independent of the choice of j";
 // we always split off the lowest relation index). Memoized.
 func (ctx *Context) RowDist(s query.RelSet) *stats.Dist {
-	if p := ctx.par; p != nil {
-		p.memoMu.Lock()
-		defer p.memoMu.Unlock()
-	}
-	return ctx.rowDistLocked(s)
-}
-
-// rowDistLocked is RowDist's body; in a parallel run the whole recursion
-// happens under one hold of the run's memo lock, so a subset's distribution
-// is computed exactly once however the workers interleave.
-func (ctx *Context) rowDistLocked(s query.RelSet) *stats.Dist {
 	if d, ok := ctx.subsetRowDist.get(s); ok {
 		ctx.Count.MemoHits++
 		return d
@@ -50,7 +39,7 @@ func (ctx *Context) rowDistLocked(s query.RelSet) *stats.Dist {
 		// The recursive call computes (and memoizes) the sub-subset's
 		// distribution before the timed region opens, so nested bucketing
 		// time is attributed exactly once.
-		left := ctx.rowDistLocked(sj)
+		left := ctx.RowDist(sj)
 		right := ctx.baseRowDist(j)
 		var t0 time.Time
 		if ctx.metrics != nil {

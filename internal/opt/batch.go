@@ -123,8 +123,7 @@ func (pb *phaseBatches) release() {
 }
 
 // releasePricerCaches returns a compiled pricer's pooled scratch to the
-// buffer pool; called when a pricer is replaced (Reconfigure) or a parallel
-// run's worker pricers retire.
+// buffer pool; called when a pricer is replaced (Reconfigure).
 func releasePricerCaches(pr stepPricer) {
 	if pc, ok := pr.(phasedCoster); ok {
 		pc.batches.release()

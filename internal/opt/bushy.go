@@ -40,31 +40,30 @@ func (o *Optimizer) runBushy() (*Result, error) {
 		s := ctx.BestScan(i)
 		best.put(query.NewRelSet(i), dpEntry{node: s, cost: s.AccessCost()})
 	}
-	full := query.FullSet(n)
-	rootBest := dpEntry{cost: math.Inf(1)}
-	var rootFound bool
-	bp := batchFor(pr)
-
+	w := newDPWalk(best, pr, n)
 	for d := 2; d <= n && !ctx.stopped(); d++ {
-		ctx.forEachLevel(d, func(s query.RelSet) {
-			r := o.solveBushy(ctx, pr, bp, best, s, d, full)
-			applySubset(ctx, best, s, &r, &rootBest, &rootFound)
-		})
+		ctx.forEachLevel(d, func(s query.RelSet) { o.solveBushy(&w, s, d) })
 	}
-	return o.finishBushy(ctx, rootBest, rootFound)
+	if w.root.node == nil {
+		if ctx.stopped() {
+			return nil, ctx.stopCause
+		}
+		return nil, fmt.Errorf("opt: bushy DP found no plan")
+	}
+	return &Result{Plan: w.root.node, Cost: w.root.cost, Count: ctx.snapshotCount()}, nil
 }
 
 // solveBushy solves one lattice node of the all-splits DP: every canonical
 // split of s priced in both operand orders, and — at the full set — the
-// finished root candidates. Like solveLeftDeep it reads only fully-solved
-// lower levels of best and writes nothing shared. The bushy DP records no
-// trace events.
-func (o *Optimizer) solveBushy(ctx *Context, pr stepPricer, bp batchStepPricer, best *dpTab, s query.RelSet, d int, full query.RelSet) subsetResult {
-	res := subsetResult{entry: dpEntry{cost: math.Inf(1)}, rootBest: dpEntry{cost: math.Inf(1)}}
+// finished root candidates. The bushy DP records no trace events.
+func (o *Optimizer) solveBushy(w *dpWalk, s query.RelSet, d int) {
+	ctx := o.ctx
 	if !ctx.visitSubset() {
-		return res
+		return
 	}
 	methods := ctx.Opts.Methods
+	bestCost := math.Inf(1)
+	var win winStep
 	lowest := query.NewRelSet(s.Members()[0])
 	for l := (s - 1) & s; l != 0 && !ctx.stopped(); l = (l - 1) & s {
 		if !l.Contains(lowest) {
@@ -74,7 +73,7 @@ func (o *Optimizer) solveBushy(ctx *Context, pr stepPricer, bp batchStepPricer, 
 		// Under the connected enumerator only connected halves were ever
 		// solved; a split across a disconnected boundary finds an empty
 		// entry and is skipped, which is the csg/cmp-pair restriction.
-		le, re := best.get(l), best.get(r)
+		le, re := w.best.get(l), w.best.get(r)
 		if le.node == nil || re.node == nil {
 			continue
 		}
@@ -89,48 +88,33 @@ func (o *Optimizer) solveBushy(ctx *Context, pr stepPricer, bp batchStepPricer, 
 			for oi, ord := range [2][2]dpEntry{{le, re}, {re, le}} {
 				ctx.Count.JoinSteps++
 				var stepCost float64
-				if bp != nil {
-					stepCost = ctx.priceJoinBatched(bp, &mbs[oi], m, ord[0].node, ord[1].node, s, d-2)
+				if w.bp != nil {
+					stepCost = ctx.priceJoinBatched(w.bp, &mbs[oi], m, ord[0].node, ord[1].node, s, d-2)
 				} else {
-					stepCost = ctx.priceJoin(pr, m, ord[0].node, ord[1].node, s, d-2)
+					stepCost = ctx.priceJoin(w.pr, m, ord[0].node, ord[1].node, s, d-2)
 				}
 				total := base + stepCost
-				if total < res.entry.cost {
-					res.entry.cost = total
-					res.win = winStep{left: ord[0].node, right: ord[1].node, m: m}
+				if total < bestCost {
+					bestCost = total
+					win = winStep{left: ord[0].node, right: ord[1].node, m: m}
 				} else {
 					ctx.Count.Prunes++
 				}
-				if s == full {
+				if s == w.full {
 					cand := ctx.newBushyJoin(ord[0].node, ord[1].node, m, s)
 					finished, added := ctx.FinishPlan(cand)
 					ft := total
 					if added {
-						ft += ctx.priceSort(pr, cand, d-2)
+						ft += ctx.priceSort(w.pr, cand, d-2)
 					}
-					if ft < res.rootBest.cost {
-						res.rootBest = dpEntry{node: finished, cost: ft}
-						res.rootFound = true
-					}
+					w.offerRoot(finished, ft)
 				}
 			}
 		}
 	}
-	return res
-}
-
-// finishBushy is the bushy drivers' shared epilogue.
-func (o *Optimizer) finishBushy(ctx *Context, rootBest dpEntry, rootFound bool) (*Result, error) {
-	if ctx.stopped() {
-		if rootFound {
-			return &Result{Plan: rootBest.node, Cost: rootBest.cost, Count: ctx.snapshotCount()}, nil
-		}
-		return nil, ctx.stopCause
+	if win.right != nil {
+		w.best.put(s, dpEntry{node: ctx.newBushyJoin(win.left, win.right, win.m, s), cost: bestCost})
 	}
-	if !rootFound {
-		return nil, fmt.Errorf("opt: bushy DP found no plan")
-	}
-	return &Result{Plan: rootBest.node, Cost: rootBest.cost, Count: ctx.snapshotCount()}, nil
 }
 
 // crossUnavoidable reports whether every split of s crosses a predicate-free

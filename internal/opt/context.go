@@ -92,15 +92,6 @@ type Options struct {
 	// bushy and top-c lattice sweeps; the pipelined space and the
 	// exhaustive oracles are unaffected.
 	Enumeration Enumeration
-	// Parallelism is the worker count of the level-synchronized parallel
-	// search (see pardp.go). 0 or 1 runs the classical sequential DP; N ≥ 2
-	// partitions each lattice level's subsets across min(N, subsets)
-	// workers. Any value produces byte-identical plans, costs, Stats and
-	// traces for runs that complete without interruption; only budget/
-	// cancellation *trip points* can differ under N ≥ 2, because the shared
-	// meters advance in schedule order. Algorithm B's top-c search and the
-	// pipelined space always run sequentially.
-	Parallelism int
 	// Tier selects the tiered-planning mode (see tier.go): TierDP (the zero
 	// value — always run the configured DP search), TierAuto (serve the
 	// greedy fast path when its risk signals clear the TierRisk thresholds,
@@ -161,8 +152,8 @@ type Counters struct {
 	// Subsets counts lattice nodes (relation subsets) the search visited.
 	Subsets int
 	// SubsetsEnumerated counts lattice nodes the enumerator emitted to the
-	// level sweeps (before budget/cancellation gating). Equal across
-	// Parallelism settings; under EnumExhaustive it approaches 2^n.
+	// level sweeps (before budget/cancellation gating); under
+	// EnumExhaustive it approaches 2^n.
 	SubsetsEnumerated int
 	// SubsetsSkipped counts lattice nodes the connected enumerator pruned
 	// without a visit — per level, C(n,d) minus the connected subsets
@@ -252,9 +243,7 @@ type Context struct {
 	// enumeration state (see enum.go): the effective enumerator (requested
 	// EnumConnected degrades to EnumExhaustive on disconnected graphs), the
 	// cached connected-subgraph levels, and the predicted table sizing the
-	// memos and DP tables are allocated from. The csg cache is only mutated
-	// by the drivers' level sweeps (never inside worker solvers), so shells
-	// can share it without locking.
+	// memos and DP tables are allocated from.
 	enumEff Enumeration
 	csg     *query.CsgEnum
 	sizing  memoSizing
@@ -281,19 +270,11 @@ type Context struct {
 	// interrupted is never recycled (see session.go).
 	interrupted bool
 
-	// par points at the shared state of a level-synchronized parallel run
-	// (see pardp.go); nil in sequential mode, so the hot paths pay one nil
-	// check. Worker shells share the root's par, memos and arena; their
-	// private fields (Count, marks) shard the instrumentation.
-	par           *parRun
-	parEvalMark   int // CostEvals already published to par.evals
-	parSubsetMark int // Subsets already published to par.subsets
-
 	// observability state (see obs.go): the decision-trace recorder (nil
 	// unless Options.Trace), the metrics bundle (nil unless
 	// Options.Metrics), per-run timing accumulators, and the per-subset
 	// equi-depth bucketing error contributions (summed in ascending subset
-	// order, so the session total is schedule-independent).
+	// order, so the session total does not depend on the visiting order).
 	trace          *obs.Recorder
 	metrics        *obs.OptMetrics
 	obsWant        bool // metrics or trace enabled — session-constant
@@ -422,8 +403,7 @@ func (ctx *Context) buildJoinIndex() {
 
 // stepPreds returns the predicates connecting relation j to subset s —
 // query.JoinsBetween(s, j) computed from the session index — in a slice
-// carved from the session arena. In a parallel run the caller holds the
-// arena lock.
+// carved from the session arena.
 func (ctx *Context) stepPreds(s query.RelSet, j int) []query.JoinPred {
 	cnt := 0
 	for _, rp := range ctx.relPreds[j] {
@@ -536,19 +516,8 @@ func (ctx *Context) BestScan(i int) *plan.Scan {
 
 // SubsetRows returns the estimated row count of ⋈_{i∈S} A_i: the product of
 // the filtered base cardinalities and the selectivities of every join
-// predicate internal to S. It is independent of join order. In a parallel
-// run the shared memo is guarded by the run's memo lock; the compute-once
-// discipline keeps MemoHits totals schedule-independent (hits = calls −
-// distinct subsets, however calls interleave).
+// predicate internal to S. It is independent of join order.
 func (ctx *Context) SubsetRows(s query.RelSet) float64 {
-	if p := ctx.par; p != nil {
-		p.memoMu.Lock()
-		defer p.memoMu.Unlock()
-	}
-	return ctx.subsetRowsLocked(s)
-}
-
-func (ctx *Context) subsetRowsLocked(s query.RelSet) float64 {
 	if r, ok := ctx.subsetRows.get(s); ok {
 		ctx.Count.MemoHits++
 		return r
@@ -578,19 +547,11 @@ func (ctx *Context) SubsetPPR(s query.RelSet) float64 {
 
 // SubsetPages returns the estimated result size in pages.
 func (ctx *Context) SubsetPages(s query.RelSet) float64 {
-	if p := ctx.par; p != nil {
-		p.memoMu.Lock()
-		defer p.memoMu.Unlock()
-	}
-	return ctx.subsetPagesLocked(s)
-}
-
-func (ctx *Context) subsetPagesLocked(s query.RelSet) float64 {
 	if p, ok := ctx.subsetPages.get(s); ok {
 		ctx.Count.MemoHits++
 		return p
 	}
-	pages := ctx.subsetRowsLocked(s) * ctx.SubsetPPR(s)
+	pages := ctx.SubsetRows(s) * ctx.SubsetPPR(s)
 	if s.Len() == 1 {
 		pages = ctx.basePages[s.Single()]
 	}
@@ -608,28 +569,9 @@ func (ctx *Context) subsetPagesLocked(s query.RelSet) float64 {
 // which the DP does once per lattice extension, and Algorithms A/B once per
 // memory bucket on top of that.
 func (ctx *Context) NewJoin(left plan.Node, right *plan.Scan, m cost.Method, s query.RelSet, j int) *plan.Join {
-	var jn *plan.Join
-	var isNew bool
-	if p := ctx.par; p != nil {
-		// The lock covers the intern probe and the predicate list, which is
-		// carved from the arena. Filling the estimate fields outside it is
-		// safe: within a level exactly one task interns each candidate
-		// structure (a left-deep node's (S\{j}, j, method) key determines
-		// S), so no other worker touches a node until the level barrier
-		// publishes it.
-		p.arenaMu.Lock()
-		jn, isNew = ctx.arena.Join(left, right, m)
-		if isNew {
-			jn.Preds = ctx.stepPreds(s.Without(j), j)
-		}
-		p.arenaMu.Unlock()
-	} else {
-		jn, isNew = ctx.arena.Join(left, right, m)
-		if isNew {
-			jn.Preds = ctx.stepPreds(s.Without(j), j)
-		}
-	}
+	jn, isNew := ctx.arena.Join(left, right, m)
 	if isNew {
+		jn.Preds = ctx.stepPreds(s.Without(j), j)
 		ctx.Count.PlansBuilt++
 		jn.Selectivity = ctx.stepSel(s.Without(j), j)
 		jn.Pages = ctx.SubsetPages(s)
@@ -666,12 +608,7 @@ func (ctx *Context) FinishPlan(n plan.Node) (plan.Node, bool) {
 	if ctx.Q.OrderBy == nil || plan.SatisfiesOrder(n, *ctx.Q.OrderBy) {
 		return n, false
 	}
-	col := *ctx.Q.OrderBy
-	if p := ctx.par; p != nil {
-		p.arenaMu.Lock()
-		defer p.arenaMu.Unlock()
-	}
-	st, isNew := ctx.arena.Sort(n, col)
+	st, isNew := ctx.arena.Sort(n, *ctx.Q.OrderBy)
 	if isNew {
 		ctx.Count.PlansBuilt++
 	}

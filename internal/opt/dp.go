@@ -85,11 +85,33 @@ type dpEntry struct {
 	cost float64
 }
 
+// dpWalk is the state of one bottom-up walk over the subset lattice: the DP
+// table, the pricer (and its batched form, nil when the pricer has none),
+// and the best finished root candidate seen so far.
+type dpWalk struct {
+	best *dpTab
+	pr   stepPricer
+	bp   batchStepPricer
+	full query.RelSet
+	root dpEntry // node is nil until a finite-cost root candidate is found
+}
+
+func newDPWalk(best *dpTab, pr stepPricer, n int) dpWalk {
+	return dpWalk{best: best, pr: pr, bp: batchFor(pr), full: query.FullSet(n), root: dpEntry{cost: math.Inf(1)}}
+}
+
+// offerRoot folds one finished root candidate into the walk.
+func (w *dpWalk) offerRoot(node plan.Node, c float64) {
+	if c < w.root.cost {
+		w.root = dpEntry{node: node, cost: c}
+	}
+}
+
 // winStep identifies a subset's winning join without materializing it: the
-// operands and method of the cheapest candidate. The node itself is interned
-// by applySubset during the (single-threaded, task-ordered) merge, which
-// keeps the plan arena — and its lock — entirely out of the workers' solve
-// loops. scan is set for left-deep winners, right for bushy ones.
+// operands and method of the cheapest candidate. The solvers intern only
+// the final winner, once per subset, so a candidate that is later beaten
+// never enters the plan arena. scan is set for left-deep winners, right for
+// bushy ones.
 type winStep struct {
 	left  plan.Node
 	right plan.Node
@@ -98,43 +120,24 @@ type winStep struct {
 	j     int
 }
 
-func (w *winStep) found() bool { return w.scan != nil || w.right != nil }
-
-// subsetResult is everything solving one lattice node produces: the best DP
-// entry (cost in entry, node deferred to win), the trace artifacts (the
-// subset's decision event and, at the full set, the finished root candidates
-// in consideration order), and the best finished root. Solvers write nothing
-// shared — the driver applies results in subset order, which is what lets
-// the parallel driver replay the sequential walk byte for byte.
-type subsetResult struct {
-	entry     dpEntry
-	win       winStep
-	event     obs.TraceEvent
-	hasEvent  bool
-	roots     []obs.RootCandidate
-	rootBest  dpEntry
-	rootFound bool
-}
-
 // solveLeftDeep solves one lattice node of the left-deep DP: the best
 // extension of every solved S\{j} by relation j, and — at the full set —
-// the finished root candidates with the ORDER BY sort charged. It reads
-// only fully-solved lower levels of best; ctx is the calling worker's
-// context (the root's in sequential mode, a shell in parallel mode).
-func (o *Optimizer) solveLeftDeep(ctx *Context, pr stepPricer, bp batchStepPricer, best *dpTab, s query.RelSet, d int, full query.RelSet) subsetResult {
-	res := subsetResult{entry: dpEntry{cost: math.Inf(1)}, rootBest: dpEntry{cost: math.Inf(1)}}
+// the finished root candidates with the ORDER BY sort charged. The trace
+// gets the root candidates in consideration order, then the subset's
+// decision event.
+func (o *Optimizer) solveLeftDeep(w *dpWalk, s query.RelSet, d int) {
+	ctx := o.ctx
 	if !ctx.visitSubset() {
-		return res
+		return
 	}
-	// Gate trace work on the option, not the recorder: parallel worker
-	// shells carry a nil recorder (the root flushes their events), but must
-	// still produce them.
-	wantTrace := ctx.Opts.Trace
+	tr := ctx.trace
 	var tw traceWatch
-	if wantTrace {
+	if tr != nil {
 		tw = newTraceWatch()
 	}
 	methods := ctx.Opts.Methods
+	bestCost := math.Inf(1)
+	var win winStep
 	s.ForEach(func(j int) {
 		if ctx.stopped() {
 			return
@@ -144,7 +147,7 @@ func (o *Optimizer) solveLeftDeep(ctx *Context, pr stepPricer, bp batchStepPrice
 		// solved, so its entry is empty and the extension is skipped — which
 		// is exactly the csg–cmp restriction: every explored plan's prefixes
 		// are connected.
-		left := best.get(sj)
+		left := w.best.get(sj)
 		if left.node == nil {
 			return
 		}
@@ -157,18 +160,18 @@ func (o *Optimizer) solveLeftDeep(ctx *Context, pr stepPricer, bp batchStepPrice
 		for _, m := range methods {
 			ctx.Count.JoinSteps++
 			var stepCost float64
-			if bp != nil {
-				stepCost = ctx.priceJoinBatched(bp, &mb, m, left.node, scan, s, d-2)
+			if w.bp != nil {
+				stepCost = ctx.priceJoinBatched(w.bp, &mb, m, left.node, scan, s, d-2)
 			} else {
-				stepCost = ctx.priceJoin(pr, m, left.node, scan, s, d-2)
+				stepCost = ctx.priceJoin(w.pr, m, left.node, scan, s, d-2)
 			}
 			total := base + stepCost
-			if wantTrace {
+			if tr != nil {
 				tw.consider(j, m, total)
 			}
-			if total < res.entry.cost {
-				res.entry.cost = total
-				res.win = winStep{left: left.node, scan: scan, m: m, j: j}
+			if total < bestCost {
+				bestCost = total
+				win = winStep{left: left.node, scan: scan, m: m, j: j}
 			} else {
 				ctx.Count.Prunes++
 			}
@@ -177,61 +180,30 @@ func (o *Optimizer) solveLeftDeep(ctx *Context, pr stepPricer, bp batchStepPrice
 			// cheapest join once the final sort is charged. Evaluate
 			// every root candidate with the sort included (unless the
 			// ablation flag reverts to naive handling).
-			if s == full && !ctx.Opts.NaiveOrderHandling {
+			if s == w.full && !ctx.Opts.NaiveOrderHandling {
 				cand := ctx.NewJoin(left.node, scan, m, s, j)
 				finished, added := ctx.FinishPlan(cand)
 				ft := total
 				if added {
-					ft += ctx.priceSort(pr, cand, d-2)
+					ft += ctx.priceSort(w.pr, cand, d-2)
 				}
-				if wantTrace {
-					res.roots = append(res.roots, obs.RootCandidate{
+				if tr != nil {
+					tr.AddRoot(obs.RootCandidate{
 						Join: ctx.Q.Tables[j], Method: m.String(),
 						Cost: ft, Sorted: added,
 					})
 				}
-				if ft < res.rootBest.cost {
-					res.rootBest = dpEntry{node: finished, cost: ft}
-					res.rootFound = true
-				}
+				w.offerRoot(finished, ft)
 			}
 		}
 	})
-	if wantTrace {
-		if e, ok := tw.event(ctx, s, d, s == full); ok {
-			res.event, res.hasEvent = e, true
+	if tr != nil {
+		if e, ok := tw.event(ctx, s, d, s == w.full); ok {
+			tr.Add(e)
 		}
 	}
-	return res
-}
-
-// applySubset merges one solved subset into the driver's state: trace
-// artifacts are flushed to the root recorder (candidates first, then the
-// decision event — the order the sequential walk emits them), the winning
-// join is interned and the DP table gains the entry, and the best finished
-// root is folded in. Called in subset order by both drivers; interning here
-// rather than in the solvers keeps the arena out of the parallel workers'
-// loops and makes PlansBuilt/MemoHits totals trivially schedule-independent.
-func applySubset(ctx *Context, best *dpTab, s query.RelSet, r *subsetResult, rootBest *dpEntry, rootFound *bool) {
-	if tr := ctx.trace; tr != nil {
-		for _, rc := range r.roots {
-			tr.AddRoot(rc)
-		}
-		if r.hasEvent {
-			tr.Add(r.event)
-		}
-	}
-	if r.win.found() {
-		if r.win.scan != nil {
-			r.entry.node = ctx.NewJoin(r.win.left, r.win.scan, r.win.m, s, r.win.j)
-		} else {
-			r.entry.node = ctx.newBushyJoin(r.win.left, r.win.right, r.win.m, s)
-		}
-		best.put(s, r.entry)
-	}
-	if r.rootFound && r.rootBest.cost < rootBest.cost {
-		*rootBest = r.rootBest
-		*rootFound = true
+	if win.scan != nil {
+		w.best.put(s, dpEntry{node: ctx.NewJoin(win.left, win.scan, win.m, s, win.j), cost: bestCost})
 	}
 }
 
@@ -257,30 +229,18 @@ func (o *Optimizer) runLeftDeep() (*Result, error) {
 	}
 	ctx.traceScans()
 
-	full := query.FullSet(n)
-	rootBest := dpEntry{cost: math.Inf(1)}
-	var rootFound bool
-	bp := batchFor(pr)
-
+	w := newDPWalk(best, pr, n)
 	for d := 2; d <= n && !ctx.stopped(); d++ {
-		ctx.forEachLevel(d, func(s query.RelSet) {
-			r := o.solveLeftDeep(ctx, pr, bp, best, s, d, full)
-			applySubset(ctx, best, s, &r, &rootBest, &rootFound)
-		})
+		ctx.forEachLevel(d, func(s query.RelSet) { o.solveLeftDeep(&w, s, d) })
 	}
-	return o.finishLeftDeep(ctx, pr, best, full, n, rootBest, rootFound)
-}
 
-// finishLeftDeep is the left-deep drivers' shared epilogue: the anytime
-// salvage paths when the run was interrupted, the naive-order ablation, and
-// the normal order-aware return.
-func (o *Optimizer) finishLeftDeep(ctx *Context, pr stepPricer, best *dpTab, full query.RelSet, n int, rootBest dpEntry, rootFound bool) (*Result, error) {
+	root, full := w.root, w.full
 	if ctx.stopped() {
 		// Anytime: hand back the best complete root candidate found before
 		// the interruption, if the walk got that far; OptimizeCtx flags it
 		// and otherwise descends the ladder.
-		if rootFound {
-			return &Result{Plan: rootBest.node, Cost: rootBest.cost, Count: ctx.snapshotCount()}, nil
+		if root.node != nil {
+			return &Result{Plan: root.node, Cost: root.cost, Count: ctx.snapshotCount()}, nil
 		}
 		if e := best.get(full); e.node != nil {
 			finished, added := ctx.FinishPlan(e.node)
@@ -304,10 +264,10 @@ func (o *Optimizer) finishLeftDeep(ctx *Context, pr stepPricer, best *dpTab, ful
 		}
 		return &Result{Plan: finished, Cost: total, Count: ctx.snapshotCount()}, nil
 	}
-	if !rootFound {
+	if root.node == nil {
 		return nil, fmt.Errorf("opt: no plan found (disconnected lattice?)")
 	}
-	return &Result{Plan: rootBest.node, Cost: rootBest.cost, Count: ctx.snapshotCount()}, nil
+	return &Result{Plan: root.node, Cost: root.cost, Count: ctx.snapshotCount()}, nil
 }
 
 // finishSingle handles single-relation queries: every access path competes,

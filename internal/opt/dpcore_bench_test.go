@@ -3,7 +3,6 @@ package opt
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/stats"
@@ -109,14 +108,10 @@ func BenchmarkDPCoreLargeN(b *testing.B) {
 	}
 }
 
-// BenchmarkDPCoreParallel measures the level-synchronized parallel driver
-// against the same workloads. Parallelism tracks GOMAXPROCS, so running
-// with -cpu 1,2,4 sweeps the sequential engine (the driver falls back to
-// the plain DP at parallelism 1) through 2- and 4-worker pools; the
-// speedup is the ns/op ratio between the -cpu rows. Both sizes matter:
-// n=6 is where scheduling overhead must stay paid-for, n=10 is where the
-// 2^n lattice gives the workers real work.
-func BenchmarkDPCoreParallel(b *testing.B) {
+// BenchmarkDPCoreSmallN times Algorithm C on chain, star and clique queries
+// of n=6 and n=10 relations with an ORDER BY: n=6 is where per-run setup
+// dominates, n=10 is where the 2^n lattice walk does.
+func BenchmarkDPCoreSmallN(b *testing.B) {
 	dm := stats.MustNew(
 		[]float64{200, 700, 1500, 3000, 6000},
 		[]float64{0.1, 0.2, 0.4, 0.2, 0.1})
@@ -128,11 +123,10 @@ func BenchmarkDPCoreParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			opts := Options{Parallelism: runtime.GOMAXPROCS(0)}
 			b.Run(fmt.Sprintf("algC/%v/n%d", shape, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := AlgorithmC(cat, q, opts, dm); err != nil {
+					if _, err := AlgorithmC(cat, q, Options{}, dm); err != nil {
 						b.Fatal(err)
 					}
 				}

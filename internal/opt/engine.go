@@ -277,17 +277,11 @@ func (o *Optimizer) OptimizeTop(c int) ([]plan.Node, []float64, error) {
 // ExpectedCost is the phase-indexed expected coster (static = one phase),
 // and MultiParams is Algorithm D's distribution-propagating coster. The
 // config has already been validated.
-func (o *Optimizer) compile() stepPricer {
-	return o.compileFor(o.ctx)
-}
-
-// compileFor compiles the configured pricer against an arbitrary context —
-// o.ctx for the sequential engine, a worker shell for the parallel driver
-// (each worker prices through its own shell so counter shards stay private).
 // Batch-capable pricers get their per-session caches built here: the
 // phase-indexed pricer's clamped bucket vectors, Algorithm D's shared
 // memory-side prefix table.
-func (o *Optimizer) compileFor(ctx *Context) stepPricer {
+func (o *Optimizer) compile() stepPricer {
+	ctx := o.ctx
 	switch obj := o.cfg.objective().(type) {
 	case ExponentialUtility:
 		return ceCoster{ctx: ctx, phases: o.phaseDists(), gamma: obj.Gamma}

@@ -80,8 +80,8 @@ func (ctx *Context) EffectiveEnumeration() Enumeration { return ctx.enumEff }
 // forEachLevel calls f for every level-d subset of the effective
 // enumeration, in ascending numeric order, and advances the enumerated/
 // skipped counters. Both enumerators visit the connected level-d family in
-// the same order, which is what keeps the sequential and level-synchronized
-// parallel drivers byte-identical per enumerator.
+// the same order, so a run whose exhaustive winner has no cross join
+// returns the same plan, cost and trace under either enumerator.
 func (ctx *Context) forEachLevel(d int, f func(query.RelSet)) {
 	if ctx.enumEff == EnumConnected {
 		lvl := ctx.csg.Level(d)
@@ -100,26 +100,8 @@ func (ctx *Context) forEachLevel(d int, f func(query.RelSet)) {
 	ctx.countLevel(d, emitted)
 }
 
-// appendLevel appends the level-d subsets to buf in ascending order (the
-// parallel driver's task-list form of forEachLevel), advancing the same
-// counters. The connected level cache is copied, never aliased, so callers
-// may reuse buf.
-func (ctx *Context) appendLevel(buf []query.RelSet, d int) []query.RelSet {
-	if ctx.enumEff == EnumConnected {
-		lvl := ctx.csg.Level(d)
-		ctx.countLevel(d, len(lvl))
-		return append(buf, lvl...)
-	}
-	n := ctx.Q.NumRels()
-	before := len(buf)
-	query.SubsetsOfSize(n, d, func(s query.RelSet) { buf = append(buf, s) })
-	ctx.countLevel(d, len(buf)-before)
-	return buf
-}
-
 // countLevel records one level sweep: emitted subsets, and — under the
 // connected enumerator — the disconnected subsets pruned without a visit.
-// Counted on the driver side only, so totals are schedule-independent.
 func (ctx *Context) countLevel(d, emitted int) {
 	ctx.Count.SubsetsEnumerated += emitted
 	if ctx.enumEff == EnumConnected {
@@ -260,7 +242,7 @@ func (t *sparseTab[V]) grow() {
 func (t *sparseTab[V]) len() int { return t.used }
 
 // keysSorted returns the stored keys in ascending order — for consumers
-// that need a deterministic iteration (errMemo's schedule-independent sum).
+// that need a deterministic iteration (errMemo's order-independent sum).
 func (t *sparseTab[V]) keysSorted() []query.RelSet {
 	out := make([]query.RelSet, 0, t.used)
 	for _, kk := range t.keys {
@@ -274,9 +256,7 @@ func (t *sparseTab[V]) keysSorted() []query.RelSet {
 
 // dpTab is the single-best DP table over lattice nodes, replacing the plain
 // 2^n slice: dense when the sizing says so, sparse otherwise. A nil node
-// marks an unsolved subset in both representations. Writes happen only on
-// the driver side (applySubset, between level barriers), so concurrent
-// solver reads need no locking.
+// marks an unsolved subset in both representations.
 type dpTab struct {
 	dense  []dpEntry
 	sparse *sparseTab[dpEntry]

@@ -7,20 +7,14 @@ package opt
 //     intermediate subsets, so whenever the exhaustive winner is
 //     cross-join-free the connected enumerator finds the *same* winner at
 //     the same cost;
-//   - the connected enumerator is itself deterministic across parallelism,
-//     byte-identical between Parallelism 1 and N;
 //   - the skipped/enumerated counters partition the lattice exactly;
 //   - memo sizing follows the enumerator's prediction, and table backings
 //     stay unallocated until first use.
 
 import (
-	"context"
 	"math"
-	"reflect"
 	"testing"
-	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/stats"
@@ -170,99 +164,10 @@ func TestDisconnectedGraphFallsBackToExhaustive(t *testing.T) {
 	}
 }
 
-// TestConnectedParallelDeterminism: under the connected enumerator a
-// Parallelism-4 run must stay byte-identical to the sequential run — plan
-// key, cost bits, Stats and trace — exactly as the exhaustive grid test
-// guarantees for the default enumerator.
-func TestConnectedParallelDeterminism(t *testing.T) {
-	dm := stats.MustNew([]float64{200, 900, 4000}, []float64{0.3, 0.4, 0.3})
-	for _, space := range []Space{SpaceLeftDeep, SpaceBushy} {
-		for ci, coster := range []Coster{FixedParams{Mem: dm.Mean()}, StaticParams{Mem: dm}} {
-			cfg := Config{Space: space, Coster: coster}
-			for i, shape := range enumShapes {
-				seed := int64(9300 + 10*ci + i)
-				n := 6 + i%3
-				cat, q := randInstance(t, seed, n, shape, true)
-				run := func(par int) (*Result, Stats) {
-					eng, err := NewOptimizer(cat, q,
-						Options{Enumeration: EnumConnected, Trace: true, Parallelism: par}, cfg)
-					if err != nil {
-						t.Fatalf("NewOptimizer: %v", err)
-					}
-					res, err := eng.Optimize()
-					if err != nil {
-						t.Fatalf("%v/%v P=%d: %v", space, shape, par, err)
-					}
-					return res, eng.Stats()
-				}
-				seq, seqStats := run(1)
-				par, parStats := run(4)
-				label := space.String() + "/" + shape.String()
-				if par.Plan.Key() != seq.Plan.Key() {
-					t.Errorf("%s: P=4 plan %s != sequential %s", label, par.Plan.Key(), seq.Plan.Key())
-				}
-				if math.Float64bits(par.Cost) != math.Float64bits(seq.Cost) {
-					t.Errorf("%s: P=4 cost %v != sequential %v", label, par.Cost, seq.Cost)
-				}
-				if parStats != seqStats {
-					t.Errorf("%s: P=4 stats %+v != sequential %+v", label, parStats, seqStats)
-				}
-				if !reflect.DeepEqual(par.Trace, seq.Trace) {
-					t.Errorf("%s: P=4 trace diverged from sequential", label)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelFaultMatrixConnected repeats the parallel fault matrix
-// (poisoned costs, panics, cancellation) with the connected enumerator at
-// Parallelism 4: every injected fault must still land on the anytime ladder
-// — a valid covering plan or a typed error — and never hang.
-func TestParallelFaultMatrixConnected(t *testing.T) {
-	dm := stats.MustNew([]float64{200, 900, 4000}, []float64{0.3, 0.4, 0.3})
-	faults := map[string]faultinject.Rule{
-		"nan":    {Site: faultinject.JoinCost, Kind: faultinject.KindNaN, After: 3, Every: 5},
-		"inf":    {Site: faultinject.JoinCost, Kind: faultinject.KindInf, After: 3, Every: 5},
-		"panic":  {Site: faultinject.JoinCost, Kind: faultinject.KindPanic, After: 10},
-		"cancel": {Site: faultinject.JoinCost, Kind: faultinject.KindCancel, After: 15},
-	}
-	for fname, rule := range faults {
-		for _, space := range []Space{SpaceLeftDeep, SpaceBushy} {
-			t.Run(fname+"/"+space.String(), func(t *testing.T) {
-				cat, q := randInstance(t, 9401, 7, workload.Cycle, true)
-				eng, err := NewOptimizer(cat, q,
-					Options{Enumeration: EnumConnected, Parallelism: 4, Trace: true},
-					Config{Space: space, Coster: StaticParams{Mem: dm}})
-				if err != nil {
-					t.Fatalf("NewOptimizer: %v", err)
-				}
-				rc, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				in := faultinject.New(1, rule)
-				in.OnCancel(cancel)
-				faultinject.Enable(in)
-				defer faultinject.Disable()
-
-				done := make(chan struct{})
-				var res *Result
-				var oerr error
-				go func() {
-					res, oerr = eng.OptimizeCtx(rc)
-					close(done)
-				}()
-				select {
-				case <-done:
-				case <-time.After(30 * time.Second):
-					t.Fatal("connected parallel run hung under fault injection")
-				}
-				if oerr != nil {
-					return // typed failure is acceptable for total poisoning
-				}
-				checkValidPlan(t, res, q, fname)
-			})
-		}
-	}
+// TestFaultMatrixConnected runs the fault matrix with the connected
+// enumerator on a cycle graph.
+func TestFaultMatrixConnected(t *testing.T) {
+	runFaultMatrix(t, Options{Enumeration: EnumConnected}, 9401, 7, workload.Cycle)
 }
 
 // TestMemoSizingPolicy checks the enumerator-driven dense/sparse split:

@@ -175,25 +175,9 @@ func ExhaustiveBushy(cat *catalog.Catalog, q *query.SPJ, opts Options, objective
 
 // newBushyJoin returns the (interned) join of two arbitrary subtrees.
 func (ctx *Context) newBushyJoin(left, right plan.Node, m cost.Method, s query.RelSet) *plan.Join {
-	var jn *plan.Join
-	var isNew bool
-	if p := ctx.par; p != nil {
-		// The lock covers the intern probe and the predicate list; see
-		// NewJoin. A bushy node's (l, r, method) key determines S = l ∪ r,
-		// so one task per level owns each node.
-		p.arenaMu.Lock()
-		jn, isNew = ctx.arena.Join(left, right, m)
-		if isNew {
-			jn.Preds = ctx.predsBetween(left.Rels(), right.Rels())
-		}
-		p.arenaMu.Unlock()
-	} else {
-		jn, isNew = ctx.arena.Join(left, right, m)
-		if isNew {
-			jn.Preds = ctx.predsBetween(left.Rels(), right.Rels())
-		}
-	}
+	jn, isNew := ctx.arena.Join(left, right, m)
 	if isNew {
+		jn.Preds = ctx.predsBetween(left.Rels(), right.Rels())
 		ctx.Count.PlansBuilt++
 		jn.Selectivity = ctx.selBetween(left.Rels(), right.Rels())
 		jn.Pages = ctx.SubsetPages(s)
@@ -203,8 +187,7 @@ func (ctx *Context) newBushyJoin(left, right plan.Node, m cost.Method, s query.R
 }
 
 // predsBetween returns the join predicates with one side in a and the
-// other in b, in a slice carved from the session arena. In a parallel run
-// the caller holds the arena lock.
+// other in b, in a slice carved from the session arena.
 func (ctx *Context) predsBetween(a, b query.RelSet) []query.JoinPred {
 	between := func(sides [2]int) bool {
 		li, ri := sides[0], sides[1]

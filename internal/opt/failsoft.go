@@ -140,23 +140,15 @@ func (ctx *Context) beginRun(rc context.Context) {
 }
 
 // interrupt records the first interruption cause; later causes are ignored.
-// In a parallel run the cause is also published to the shared run state, so
-// every worker observes the stop at its next checkpoint.
 func (ctx *Context) interrupt(cause error) {
 	if ctx.stopCause == nil {
 		ctx.stopCause = cause
 	}
 	ctx.interrupted = true
-	if p := ctx.par; p != nil {
-		p.setCause(cause)
-	}
 }
 
-// stopped reports whether the run has been interrupted — locally, or (in a
-// parallel run) by any worker.
-func (ctx *Context) stopped() bool {
-	return ctx.stopCause != nil || (ctx.par != nil && ctx.par.stop.Load())
-}
+// stopped reports whether the run has been interrupted.
+func (ctx *Context) stopped() bool { return ctx.stopCause != nil }
 
 // sawNonFinite reports whether this run poisoned any cost evaluation.
 func (ctx *Context) sawNonFinite() bool { return ctx.Count.NonFiniteCosts > ctx.nonFiniteMark }
@@ -164,10 +156,6 @@ func (ctx *Context) sawNonFinite() bool { return ctx.Count.NonFiniteCosts > ctx.
 // checkBudget trips the budget and context checkpoints. It is called after
 // counters advance; the context is polled every ctxPollInterval calls.
 func (ctx *Context) checkBudget() {
-	if p := ctx.par; p != nil {
-		ctx.checkBudgetPar(p)
-		return
-	}
 	if ctx.stopCause != nil {
 		return
 	}
@@ -179,47 +167,6 @@ func (ctx *Context) checkBudget() {
 	if b.MaxSubsets > 0 && ctx.Count.Subsets >= b.MaxSubsets {
 		ctx.interrupt(fmt.Errorf("%w: %d subsets (budget %d)", ErrBudgetExhausted, ctx.Count.Subsets, b.MaxSubsets))
 		return
-	}
-	ctx.pollCountdown--
-	if ctx.pollCountdown > 0 {
-		return
-	}
-	ctx.pollCountdown = ctxPollInterval
-	if ctx.reqCtx != nil {
-		if err := ctx.reqCtx.Err(); err != nil {
-			ctx.interrupt(fmt.Errorf("opt: search cancelled: %w", err))
-		}
-	}
-}
-
-// checkBudgetPar is the parallel-run budget checkpoint: the worker shell
-// publishes its private counter deltas to the shared meters, then compares
-// the run-wide totals against the budget. The request context is polled on
-// the shell's own countdown, so polls stay amortized per worker.
-func (ctx *Context) checkBudgetPar(p *parRun) {
-	if ctx.stopCause != nil || p.stop.Load() {
-		return
-	}
-	b := ctx.Opts.Budget
-	if b.MaxCostEvals > 0 {
-		if d := ctx.Count.CostEvals - ctx.parEvalMark; d > 0 {
-			p.evals.Add(int64(d))
-			ctx.parEvalMark = ctx.Count.CostEvals
-		}
-		if total := p.evalsBase + int(p.evals.Load()); total >= b.MaxCostEvals {
-			ctx.interrupt(fmt.Errorf("%w: %d cost evaluations (budget %d)", ErrBudgetExhausted, total, b.MaxCostEvals))
-			return
-		}
-	}
-	if b.MaxSubsets > 0 {
-		if d := ctx.Count.Subsets - ctx.parSubsetMark; d > 0 {
-			p.subsets.Add(int64(d))
-			ctx.parSubsetMark = ctx.Count.Subsets
-		}
-		if total := p.subsetsBase + int(p.subsets.Load()); total >= b.MaxSubsets {
-			ctx.interrupt(fmt.Errorf("%w: %d subsets (budget %d)", ErrBudgetExhausted, total, b.MaxSubsets))
-			return
-		}
 	}
 	ctx.pollCountdown--
 	if ctx.pollCountdown > 0 {
@@ -417,19 +364,12 @@ func (o *Optimizer) runPrimary() (res *Result, err error) {
 	}()
 	switch o.cfg.Space {
 	case SpaceBushy:
-		if w := o.workerCount(); w > 1 {
-			return o.runBushyParallel(w)
-		}
 		return o.runBushy()
 	case SpacePipelined:
 		// The pipelined space's phase assignment depends on the methods below
-		// each join, so it is searched by exhaustive enumeration and always
-		// runs sequentially.
+		// each join, so it is searched by exhaustive enumeration.
 		return o.runPipelined()
 	default:
-		if w := o.workerCount(); w > 1 {
-			return o.runLeftDeepParallel(w)
-		}
 		return o.runLeftDeep()
 	}
 }

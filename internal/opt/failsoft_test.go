@@ -53,6 +53,60 @@ func checkValidPlan(t *testing.T, res *Result, q *query.SPJ, label string) {
 	}
 }
 
+// runFaultMatrix injects every fault kind (poisoned costs, a panic,
+// mid-search cancellation) into a traced left-deep and bushy search of one
+// instance: each run must end with a valid finished plan (possibly
+// degraded) or a typed error, and must not hang.
+func runFaultMatrix(t *testing.T, opts Options, seed int64, n int, shape workload.Topology) {
+	dm := stats.MustNew([]float64{200, 900, 4000}, []float64{0.3, 0.4, 0.3})
+	faults := map[string]faultinject.Rule{
+		"nan":    {Site: faultinject.JoinCost, Kind: faultinject.KindNaN, After: 3, Every: 5},
+		"inf":    {Site: faultinject.JoinCost, Kind: faultinject.KindInf, After: 3, Every: 5},
+		"panic":  {Site: faultinject.JoinCost, Kind: faultinject.KindPanic, After: 10},
+		"cancel": {Site: faultinject.JoinCost, Kind: faultinject.KindCancel, After: 15},
+	}
+	opts.Trace = true
+	for fname, rule := range faults {
+		for _, space := range []Space{SpaceLeftDeep, SpaceBushy} {
+			t.Run(fname+"/"+space.String(), func(t *testing.T) {
+				cat, q := randInstance(t, seed, n, shape, true)
+				eng, err := NewOptimizer(cat, q, opts, Config{Space: space, Coster: StaticParams{Mem: dm}})
+				if err != nil {
+					t.Fatalf("NewOptimizer: %v", err)
+				}
+				rc, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				in := faultinject.New(1, rule)
+				in.OnCancel(cancel)
+				faultinject.Enable(in)
+				defer faultinject.Disable()
+
+				done := make(chan struct{})
+				var res *Result
+				var oerr error
+				go func() {
+					res, oerr = eng.OptimizeCtx(rc)
+					close(done)
+				}()
+				select {
+				case <-done:
+				case <-time.After(30 * time.Second):
+					t.Fatal("run hung under fault injection")
+				}
+				if oerr != nil {
+					return // typed failure is acceptable for total poisoning
+				}
+				checkValidPlan(t, res, q, fname)
+			})
+		}
+	}
+}
+
+// TestFaultMatrix runs the fault matrix over the exhaustive lattice.
+func TestFaultMatrix(t *testing.T) {
+	runFaultMatrix(t, Options{}, 7301, 6, 0)
+}
+
 func TestBudgetExhaustionDegradesEveryConfig(t *testing.T) {
 	cat, q, dm := engineTestInstance(t, 7001, 5)
 	for name, cfg := range failsoftConfigs(dm) {

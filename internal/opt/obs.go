@@ -15,8 +15,8 @@ import (
 // contributions (Algorithm D's rebucket spread bounds). A subset's
 // contribution depends only on the subset, so keeping the terms per subset
 // and summing them in ascending subset order makes the session total
-// independent of evaluation schedule — the parallel DP produces the same
-// float64 as the sequential one. Storage mirrors floatMemo: sized by the
+// independent of the order the search first computes them in. Storage
+// mirrors floatMemo: sized by the
 // enumerator's prediction, lazily allocated on first add.
 type errMemo struct {
 	sz     memoSizing
@@ -24,8 +24,7 @@ type errMemo struct {
 	sparse *sparseTab[float64]
 }
 
-// add accumulates v into subset s's slot. Callers in a parallel run hold the
-// run's memo lock (accumBucketErr sits inside the RowDist compute path).
+// add accumulates v into subset s's slot.
 func (m *errMemo) add(s query.RelSet, v float64) {
 	if m.dense == nil && m.sparse == nil {
 		if m.sz.dense {

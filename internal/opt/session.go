@@ -157,9 +157,7 @@ func (o *Optimizer) releaseScratch(ok bool) {
 }
 
 // reusable reports whether the session ended clean enough to recycle its
-// scratch: never interrupted, no recovered panic, no non-finite cost. A
-// parallel run joins its workers at every level barrier, so none is left
-// running by the time the session can be released.
+// scratch: never interrupted, no recovered panic, no non-finite cost.
 func (ctx *Context) reusable() bool {
 	return !ctx.interrupted && ctx.Count.PanicsRecovered == 0 && ctx.Count.NonFiniteCosts == 0
 }

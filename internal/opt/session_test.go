@@ -87,7 +87,6 @@ func TestPoolDropsPoisonedSessions(t *testing.T) {
 		ok    bool
 	}{
 		"panic":          {rc: context.Background(), rules: []faultinject.Rule{{Site: faultinject.JoinCost, Kind: faultinject.KindPanic, After: 5}}, ok: true},
-		"parallel-panic": {rc: context.Background(), opts: Options{Parallelism: 4}, rules: []faultinject.Rule{{Site: faultinject.JoinCost, Kind: faultinject.KindPanic, After: 40}}, ok: true},
 		"nan":            {rc: context.Background(), rules: []faultinject.Rule{{Site: faultinject.JoinCost, Kind: faultinject.KindNaN, After: 3}}, ok: true},
 		"deadline":       {rc: cancelled, ok: true},
 		"budget":         {rc: context.Background(), opts: Options{Budget: Budget{MaxCostEvals: 20}}, ok: true},

@@ -173,9 +173,9 @@ func (a *Arena) Join(left, right Node, m cost.Method) (j *Join, isNew bool) {
 	}
 	j = &a.joins.take(1, arenaSlabSize)[0]
 	j.Left, j.Right, j.Method = left, right, m
-	// Force the Rels memo while the arena still owns the node: under a
-	// parallel run the arena is lock-protected, but returned nodes are read
-	// by concurrent workers, and a lazy first call to Rels would race.
+	// Force the Rels memo while the arena still owns the node: a served
+	// plan is read by concurrent requests once cached, and a lazy first call
+	// to Rels would race.
 	j.rels = left.Rels().Union(right.Rels())
 	a.nextID++
 	j.aid = a.nextID

@@ -120,9 +120,8 @@ func Binomial(n, k int) int64 {
 // (level k = connected subsets of cardinality k), caching each level in
 // ascending numeric order. Ascending order is the same canonical order
 // SubsetsOfSize walks, so within the connected family an exhaustive and a
-// connected sweep visit sets in the identical sequence — which is what lets
-// a level-synchronized parallel scheduler batch a level's tasks and merge
-// results in fixed order regardless of enumerator.
+// connected sweep visit sets in the identical sequence, so both sweeps break
+// cost ties the same way.
 //
 // Level k is built by expanding every level-(k-1) set with each vertex of
 // its neighborhood (BFS-style csg growth): every connected set of size k

@@ -38,8 +38,6 @@ func newServeMetrics(reg *obs.Registry, s *Service) *serveMetrics {
 		func() float64 { return float64(len(s.queue)) })
 	reg.GaugeFunc("lec_serve_inflight", "Optimizations currently holding a worker slot.",
 		func() float64 { return float64(len(s.sem)) })
-	reg.GaugeFunc("lec_serve_effective_parallelism", "Per-request engine parallelism a run admitted now would get.",
-		func() float64 { return float64(s.effectiveParallelism()) })
 	reg.GaugeFunc("lec_serve_generation", "Current catalog/statistics generation.",
 		func() float64 { return float64(s.gen.Load()) })
 	reg.GaugeFunc("lec_serve_draining", "1 while the service is draining, else 0.",

@@ -59,12 +59,7 @@ type Config struct {
 	// QueueDepth bounds requests waiting for a worker beyond Workers.
 	// Arrivals past Workers+QueueDepth are shed. Default 64.
 	QueueDepth int
-	// Parallelism is the per-request engine parallelism ceiling: each
-	// admitted run may fan its DP levels across up to this many workers.
-	// The effective value is recomputed per request against the free
-	// admission slots (see effectiveParallelism), so an idle service gives
-	// one request the full ceiling while a saturated one degrades every
-	// run to sequential instead of oversubscribing the host. Default 1.
+	// Deprecated: Parallelism is ignored; every run searches sequentially.
 	Parallelism int
 	// DefaultTimeout is applied to requests whose context has no deadline;
 	// 0 means none.
@@ -103,9 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.Parallelism < 1 {
-		c.Parallelism = 1
 	}
 	if c.Ladder == nil {
 		c.Ladder = DefaultLadder(c.QueueDepth)
@@ -416,26 +408,6 @@ func (s *Service) optimizeLeader(ctx context.Context, q *query.SPJ, req Request,
 	return resp, nil
 }
 
-// effectiveParallelism sizes one admitted request's engine parallelism
-// against the admission semaphore: the configured ceiling, clamped to
-// 1 + the free worker slots at the moment the run starts. Each admitted
-// request already holds one slot, so "free" slots are capacity other
-// requests are not using; under full load the clamp is 1 and every run
-// degrades to the sequential engine instead of oversubscribing the host
-// with Workers × Parallelism goroutines. The reading is advisory — slots
-// may free or fill while the run executes — but it is a safe upper bound
-// at admission time, which is when the fan-out is decided.
-func (s *Service) effectiveParallelism() int {
-	p := s.cfg.Parallelism
-	if free := cap(s.sem) - len(s.sem); p > 1+free {
-		p = 1 + free
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
-
 // run executes one engine run under the catalog read lock, with the
 // pressure rung's budget and tier floor folded into the configured
 // options. Worker panics (including injected ones) surface as
@@ -452,7 +424,6 @@ func (s *Service) run(ctx context.Context, q *query.SPJ, req Request, rung Rung)
 	opts := s.cfg.Options
 	opts.Budget = tightenBudget(opts.Budget, rung.Budget)
 	opts.Tier = forceTier(opts.Tier, rung.Tier)
-	opts.Parallelism = s.effectiveParallelism()
 	s.c.optimizations.Add(1)
 	dec, err = lec.NewWithOptions(s.cat, opts).OptimizeContext(ctx, q, req.Env, req.Strategy)
 	if dec != nil {
@@ -498,7 +469,6 @@ func (s *Service) compare(ctx context.Context, req Request) ([]*lec.Decision, er
 	opts := s.cfg.Options
 	opts.Budget = tightenBudget(opts.Budget, rung.Budget)
 	opts.Tier = forceTier(opts.Tier, rung.Tier)
-	opts.Parallelism = s.effectiveParallelism()
 	s.c.optimizations.Add(1)
 	ds, err := lec.NewWithOptions(s.cat, opts).CompareContext(ctx, q, req.Env)
 	for _, d := range ds {
@@ -554,7 +524,6 @@ func (s *Service) traceRun(ctx context.Context, req Request) (dec *lec.Decision,
 	// The trace IS the per-subset DP record; a greedy-served plan has none.
 	// Diagnostic reads pin the DP tier so they always observe the search.
 	opts.Tier = lec.TierDP
-	opts.Parallelism = s.effectiveParallelism()
 	opts.Trace = true
 	s.c.optimizations.Add(1)
 	dec, err = lec.NewWithOptions(s.cat, opts).OptimizeContext(ctx, q, req.Env, req.Strategy)
@@ -719,10 +688,6 @@ type Stats struct {
 	BreakerTrips, BreakerResets, PinnedServes int64
 	// InFlight and QueueDepth are live gauges of the admission state.
 	InFlight, QueueDepth int
-	// ConfiguredParallelism is the per-request parallelism ceiling;
-	// EffectiveParallelism is what a request admitted right now would get,
-	// given the current free worker slots.
-	ConfiguredParallelism, EffectiveParallelism int
 	// Generation is the current catalog generation.
 	Generation uint64
 	// Enumeration names the configured subset-lattice enumerator
@@ -749,8 +714,6 @@ func (s *Service) Stats() Stats {
 		QueueDepth:       len(s.queue),
 		Generation:       s.gen.Load(),
 	}
-	st.ConfiguredParallelism = s.cfg.Parallelism
-	st.EffectiveParallelism = s.effectiveParallelism()
 	st.Enumeration = s.cfg.Options.Enumeration.String()
 	st.Tier = s.cfg.Options.Tier.String()
 	st.CacheHits, st.CacheMisses, st.Coalesced, st.Evictions, st.Invalidations = s.cache.counters()

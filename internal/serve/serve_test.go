@@ -319,50 +319,3 @@ func TestTightenBudget(t *testing.T) {
 		}
 	}
 }
-
-// TestEffectiveParallelismDegradesUnderLoad pins the admission-coupled
-// sizing policy: an idle service grants the configured ceiling, each
-// occupied worker slot shaves one off it, and a saturated service falls
-// back to the sequential engine (parallelism 1) rather than stacking
-// Workers x Parallelism goroutines.
-func TestEffectiveParallelismDegradesUnderLoad(t *testing.T) {
-	svc, req := newExample11Service(t, Config{Workers: 4, Parallelism: 4})
-
-	if got := svc.effectiveParallelism(); got != 4 {
-		t.Fatalf("idle effective parallelism = %d, want 4", got)
-	}
-	// Occupy slots directly: each held slot leaves one fewer free.
-	svc.sem <- struct{}{}
-	svc.sem <- struct{}{}
-	if got := svc.effectiveParallelism(); got != 3 {
-		t.Fatalf("2 slots held: effective parallelism = %d, want 3", got)
-	}
-	svc.sem <- struct{}{}
-	svc.sem <- struct{}{}
-	if got := svc.effectiveParallelism(); got != 1 {
-		t.Fatalf("saturated: effective parallelism = %d, want 1", got)
-	}
-	st := svc.Stats()
-	if st.ConfiguredParallelism != 4 || st.EffectiveParallelism != 1 {
-		t.Fatalf("stats parallelism = %d/%d, want 4/1", st.ConfiguredParallelism, st.EffectiveParallelism)
-	}
-	for i := 0; i < 4; i++ {
-		<-svc.sem
-	}
-
-	// A parallel-configured service still serves correct plans: run the
-	// fixture request and compare against the sequential default.
-	r1, err := svc.Optimize(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, seqReq := newExample11Service(t, Config{})
-	r2, err := seq.Optimize(context.Background(), seqReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Decision.Plan.Key() != r2.Decision.Plan.Key() || r1.Decision.ExpectedCost != r2.Decision.ExpectedCost {
-		t.Fatalf("parallel service plan %s (%.3f) != sequential %s (%.3f)",
-			r1.Decision.Plan.Key(), r1.Decision.ExpectedCost, r2.Decision.Plan.Key(), r2.Decision.ExpectedCost)
-	}
-}

@@ -90,7 +90,6 @@ func TestPooledSessionsMatchFresh(t *testing.T) {
 	}{
 		{"default", Options{}, all},
 		{"tier-auto-connected", Options{Tier: TierAuto, Enumeration: EnumConnected}, []Strategy{AlgorithmC, LSCMean, AlgorithmD}},
-		{"parallel", Options{Parallelism: 2}, []Strategy{AlgorithmC, AlgorithmA, LSCMode}},
 	}
 	count := 48
 	if testing.Short() {
