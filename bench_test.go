@@ -54,6 +54,7 @@ func BenchmarkE17_Aggregate(b *testing.B)  { runExperiment(b, bench.E17Aggregati
 func BenchmarkE18_EngineGrid(b *testing.B) { runExperiment(b, bench.E18EngineGrid) }
 func BenchmarkE19_Anytime(b *testing.B)    { runExperiment(b, bench.E19AnytimeCurve) }
 func BenchmarkE20_GraphEnum(b *testing.B)  { runExperiment(b, bench.E20GraphAwareEnumeration) }
+func BenchmarkE22_Tiered(b *testing.B)     { runExperiment(b, bench.E22TieredPlanning) }
 func BenchmarkF1_NodeDists(b *testing.B)   { runExperiment(b, bench.F1NodeDistributions) }
 
 // --- micro-benchmarks -------------------------------------------------

@@ -120,6 +120,7 @@ func All() []Runner {
 		{"E18", "unified engine — Space × Objective grid instrumentation", E18EngineGrid},
 		{"E19", "fail-soft — anytime plan quality vs work budget", E19AnytimeCurve},
 		{"E20", "graph-aware enumeration — connected-subgraph DP vs 2^n", E20GraphAwareEnumeration},
+		{"E22", "tiered planning — greedy fast path, certified serving, escalation", E22TieredPlanning},
 		{"F1", "Figure 1 — per-node distributions", F1NodeDistributions},
 	}
 }

@@ -77,8 +77,8 @@ func newTierMetrics(reg *Registry, phase []float64) *TierMetrics {
 	// Regret is a ratio, not a latency; buckets cover "free" through 100×.
 	regret := []float64{0, 0.01, 0.05, 0.1, 0.25, 0.5, 1, 2, 5, 10, 100}
 	return &TierMetrics{
-		GreedyServed:          reg.Counter("lec_tier_greedy_served_total", "Optimizations served by the greedy tier without running the DP."),
-		Escalations:           reg.Counter("lec_tier_escalations_total", "Optimizations escalated from the greedy tier to the DP."),
+		GreedyServed:          reg.Counter("lec_tier_greedy_served_total", "Optimizations served by the greedy tier without finishing the DP (low-risk, forced or certified at a DP level)."),
+		Escalations:           reg.Counter("lec_tier_escalations_total", "Optimizations escalated from the greedy tier that ended on the DP."),
 		EscalationForced:      reg.Counter("lec_tier_escalation_forced_total", "Escalations forced by configuration (tier pinned to dp)."),
 		EscalationGap:         reg.Counter("lec_tier_escalation_gap_total", "Escalations triggered by the expected-cost gap vs the lower bound."),
 		EscalationVariance:    reg.Counter("lec_tier_escalation_variance_total", "Escalations triggered by the greedy plan's cost variance."),

@@ -183,10 +183,11 @@ type Counters struct {
 	// allocating a duplicate.
 	ArenaHits int
 	// TierGreedyServed counts optimizations the greedy tier answered without
-	// running the DP.
+	// finishing the DP: served at the gate, or certified by a complete DP
+	// level.
 	TierGreedyServed int
 	// TierEscalations counts optimizations the tier controller escalated
-	// from the greedy tier to the DP.
+	// from the greedy tier that ended on the DP.
 	TierEscalations int
 }
 

@@ -42,12 +42,16 @@ type Result struct {
 	// served fast path, TierNameDP after an escalation. Empty when the tier
 	// controller did not run.
 	Tier string
-	// TierReason says why that tier answered: "low-risk"/"forced" for a
-	// served greedy plan, or the escalation trigger ("gap", "variance",
-	// "level-set", "objective", "fault", "unplannable") for a DP run.
+	// TierReason says why that tier answered: "low-risk"/"forced"/
+	// "certified" for a served greedy plan, or the escalation trigger
+	// ("gap", "variance", "level-set", "objective", "fault", "unplannable")
+	// for a DP run.
 	TierReason string
-	// TierGap is the greedy plan's relative expected-cost gap vs the
-	// admissible lower bound (greedy/LB − 1), when it was computed.
+	// TierGap is the greedy plan's relative expected-cost gap vs an
+	// admissible lower bound (greedy/LB − 1), when it was computed: LB_1
+	// at the tier gate, the certifying level's LB_k for a "certified"
+	// plan, and for the greedy ladder rung after an interrupted left-deep
+	// DP, the last complete level's LB_k.
 	TierGap float64
 	// Trace is the structured decision trace, populated only when
 	// Options.Trace is set. Single-search strategies (SystemR, Algorithms
@@ -87,13 +91,18 @@ type dpEntry struct {
 
 // dpWalk is the state of one bottom-up walk over the subset lattice: the DP
 // table, the pricer (and its batched form, nil when the pricer has none),
-// and the best finished root candidate seen so far.
+// the best finished root candidate seen so far, and — when a tier
+// certificate is armed — the running LB_k of the level being solved.
 type dpWalk struct {
 	best *dpTab
 	pr   stepPricer
 	bp   batchStepPricer
 	full query.RelSet
 	root dpEntry // node is nil until a finite-cost root candidate is found
+
+	cert   *tierCert // the armed tier certificate, or nil
+	lbMin  float64   // min of OPT(S) + restBound(S) over the level so far
+	lbOpen bool      // the level may still certify: lbMin still clears cert
 }
 
 func newDPWalk(best *dpTab, pr stepPricer, n int) dpWalk {
@@ -204,12 +213,21 @@ func (o *Optimizer) solveLeftDeep(w *dpWalk, s query.RelSet, d int) {
 	}
 	if win.scan != nil {
 		w.best.put(s, dpEntry{node: ctx.NewJoin(win.left, win.scan, win.m, s, win.j), cost: bestCost})
+		if w.lbOpen {
+			if b := bestCost + restBound(w.cert.weights, s); b < w.lbMin {
+				w.lbMin, w.lbOpen = b, w.cert.clears(b)
+			}
+		}
 	}
 }
 
 // runLeftDeep executes the bottom-up dynamic program over the subset
 // lattice (paper §2.2) using the engine's pricer, returning the best
 // finished left-deep plan (with the ORDER BY sort applied if required).
+// With a tier certificate armed it checks LB_k after every complete level
+// below n and returns the served greedy plan as soon as one certifies it.
+// An interrupted walk leaves o.ladderLB at LB_k of its last complete level
+// for the greedy ladder rung to report against.
 func (o *Optimizer) runLeftDeep() (*Result, error) {
 	ctx, pr := o.ctx, o.pricer
 	n := ctx.Q.NumRels()
@@ -230,12 +248,28 @@ func (o *Optimizer) runLeftDeep() (*Result, error) {
 	ctx.traceScans()
 
 	w := newDPWalk(best, pr, n)
+	if o.cert.armed {
+		w.cert = &o.cert
+	}
+	done := 1 // the last complete level
 	for d := 2; d <= n && !ctx.stopped(); d++ {
+		certify := w.cert != nil && d < n
+		w.lbMin, w.lbOpen = math.Inf(1), certify
 		ctx.forEachLevel(d, func(s query.RelSet) { o.solveLeftDeep(&w, s, d) })
+		if ctx.stopped() {
+			break
+		}
+		done = d
+		if certify {
+			if res := o.tierCertify(w.lbOpen, w.lbMin); res != nil {
+				return res, nil
+			}
+		}
 	}
 
 	root, full := w.root, w.full
 	if ctx.stopped() {
+		o.ladderLB = o.checkedBound(best, done)
 		// Anytime: hand back the best complete root candidate found before
 		// the interruption, if the walk got that far; OptimizeCtx flags it
 		// and otherwise descends the ladder.

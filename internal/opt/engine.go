@@ -192,9 +192,14 @@ type Optimizer struct {
 	scanTops  [][]topEntry // per-relation sorted access paths (top-c)
 	scanTopsC int          // the c scanTops was truncated to
 
-	// tier is the current run's tiered-planning outcome (see tier.go);
-	// reset at the top of every optimizeCtxInner.
-	tier tierState
+	// tier is the current run's tiered-planning outcome (see tier.go), cert
+	// the gap certificate the left-deep DP may still clear, and ladderLB
+	// the LB_k an interrupted left-deep DP leaves for the greedy rung's
+	// gap (0 when there is none); all reset at the top of every
+	// optimizeCtxInner.
+	tier     tierState
+	cert     tierCert
+	ladderLB float64
 
 	// sc is the pooled scratch the session runs on when its first run's
 	// context came from Pooled (see session.go); adopted marks that the

@@ -83,21 +83,24 @@ func (ctx *Context) EffectiveEnumeration() Enumeration { return ctx.enumEff }
 // the same order, so a run whose exhaustive winner has no cross join
 // returns the same plan, cost and trace under either enumerator.
 func (ctx *Context) forEachLevel(d int, f func(query.RelSet)) {
-	if ctx.enumEff == EnumConnected {
-		lvl := ctx.csg.Level(d)
-		for _, s := range lvl {
-			f(s)
-		}
-		ctx.countLevel(d, len(lvl))
-		return
-	}
-	n := ctx.Q.NumRels()
 	emitted := 0
-	query.SubsetsOfSize(n, d, func(s query.RelSet) {
+	ctx.levelSubsets(d, func(s query.RelSet) {
 		emitted++
 		f(s)
 	})
 	ctx.countLevel(d, emitted)
+}
+
+// levelSubsets calls f for every level-d subset of the effective
+// enumeration, in ascending numeric order, without counting the sweep.
+func (ctx *Context) levelSubsets(d int, f func(query.RelSet)) {
+	if ctx.enumEff == EnumConnected {
+		for _, s := range ctx.csg.Level(d) {
+			f(s)
+		}
+		return
+	}
+	query.SubsetsOfSize(ctx.Q.NumRels(), d, f)
 }
 
 // countLevel records one level sweep: emitted subsets, and — under the
@@ -135,13 +138,15 @@ const (
 // enumerator: 2^n for the exhaustive sweep, the (capped) connected-subgraph
 // count for the connected one. Dense tables are kept when the prediction is
 // a substantial fraction of 2^n — small queries and dense join graphs —
-// so the exhaustive paths keep their exact pre-seam representation.
+// so the exhaustive paths keep their exact pre-seam representation. Up to
+// denseSmallMaxRels relations the answer is dense whatever the count, so
+// the connected lattice is not counted there: its levels are built only as
+// deep as the DP climbs, and not at all when the greedy tier serves.
 func (ctx *Context) computeSizing() memoSizing {
 	n := ctx.Q.NumRels()
-	if ctx.enumEff == EnumConnected {
+	if ctx.enumEff == EnumConnected && n > denseSmallMaxRels {
 		pred := ctx.csg.CountAtMost(sizingCountCap)
-		dense := n <= denseSmallMaxRels ||
-			(n <= denseMemoMaxRels && pred >= (1<<uint(n))/8)
+		dense := n <= denseMemoMaxRels && pred >= (1<<uint(n))/8
 		return memoSizing{n: n, dense: dense, predict: pred}
 	}
 	if n <= denseMemoMaxRels {

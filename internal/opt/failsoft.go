@@ -289,7 +289,7 @@ func (o *Optimizer) OptimizeCtx(rc context.Context) (*Result, error) {
 }
 
 func (o *Optimizer) optimizeCtxInner(rc context.Context) (*Result, error) {
-	o.tier = tierState{}
+	o.tier, o.cert, o.ladderLB = tierState{}, tierCert{}, 0
 	o.adopt(rc)
 	o.ctx.beginRun(rc)
 	if o.ctx.Opts.Tier != TierDP {
@@ -298,6 +298,7 @@ func (o *Optimizer) optimizeCtxInner(rc context.Context) (*Result, error) {
 		}
 	}
 	res, err := o.runPrimary()
+	o.tierEndDP(res)
 
 	// Clean completion. A run that had to discard poisoned candidates is
 	// flagged: the plan is valid but possibly suboptimal.
@@ -391,11 +392,18 @@ func (o *Optimizer) fallbackGuarded() (res *Result, err error) {
 // runGreedy is the guaranteed-fallback rung: the tier's expected-cost
 // greedy planner over the coster's phase distributions, without the tier's
 // fault site. Its O(n²·|methods|·|support|) work is negligible next to any
-// budget that could have been exhausted.
+// budget that could have been exhausted. After an interrupted left-deep DP
+// the plan reports TierGap = greedy/LB_k − 1 against the walk's last
+// complete level, so a degraded plan carries a checked bound on how far
+// from the optimum it can be.
 func (o *Optimizer) runGreedy() (*Result, error) {
 	gp, err := o.greedyPlan(o.phaseDists(), o.ctx.Opts.TierRisk.normalize())
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Plan: gp.node, Cost: gp.cost, Count: o.ctx.snapshotCount()}, nil
+	res := &Result{Plan: gp.node, Cost: gp.cost, Count: o.ctx.snapshotCount()}
+	if o.ladderLB > 0 {
+		res.TierGap = gp.cost/o.ladderLB - 1
+	}
+	return res, nil
 }

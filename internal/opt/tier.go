@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"time"
 
 	"repro/internal/catalog"
@@ -25,6 +25,20 @@ import (
 // expected-cost gap against an admissible lower bound, the greedy plan's
 // cost variance, and probability mass near a cost level-set boundary — say
 // the cheap plan cannot be trusted.
+//
+// The gap is checked against a bound that tightens as the left-deep DP
+// climbs. Before the DP, LB_1 is the cheapest access path of every relation
+// plus the n−1 smallest per-relation join floors. Once DP level k is
+// complete,
+//
+//	LB_k = min over |S|=k of [ OPT(S) + Σ_{j∉S} (scan_j + floor_j) ]
+//
+// is admissible too: every left-deep plan has exactly one k-relation
+// prefix, occupying join phases 0..k−2 exactly as the DP priced OPT(S), and
+// every relation outside it is scanned once and joined once as a fresh
+// inner. A greedy plan that fails only the gap check arms a certificate;
+// runLeftDeep serves it with reason "certified" at the first complete level
+// where greedy ≤ (1+MaxGap)·LB_k, and otherwise the DP finishes as usual.
 //
 // The greedy planner prices steps with the same expected-cost arithmetic as
 // plan.ExpCostPhased (sums over the phase distribution's support), so a
@@ -81,8 +95,9 @@ func ParseTier(s string) (Tier, error) {
 // TierRisk configures when TierAuto trusts the greedy tier. Zero fields take
 // the Default* values below.
 type TierRisk struct {
-	// MaxGap bounds the relative expected-cost gap of the greedy plan vs the
-	// admissible lower bound: serve only if greedy ≤ (1+MaxGap)·LB, which
+	// MaxGap bounds the relative expected-cost gap of the greedy plan vs an
+	// admissible lower bound: serve only if greedy ≤ (1+MaxGap)·LB, for LB
+	// the gate's LB_1 or the LB_k of a complete left-deep DP level, which
 	// implies greedy ≤ (1+MaxGap)·OPT.
 	MaxGap float64
 	// MaxCV bounds the greedy plan's cost coefficient of variation
@@ -99,7 +114,7 @@ type TierRisk struct {
 
 // Default TierRisk thresholds.
 const (
-	DefaultTierMaxGap         = 0.25
+	DefaultTierMaxGap         = 0.02
 	DefaultTierMaxCV          = 0.5
 	DefaultTierBoundaryMargin = 0.1
 	DefaultTierBoundaryMass   = 0.25
@@ -137,6 +152,10 @@ const (
 	TierLowRisk = "low-risk"
 	// TierForced: the tier was pinned by configuration (TierGreedy).
 	TierForced = "forced"
+	// TierCertified: the greedy plan failed the gap check against LB_1, but
+	// a complete left-deep DP level's LB_k cleared it, so the DP stopped
+	// there.
+	TierCertified = "certified"
 	// TierEscGap: the expected-cost gap vs the lower bound exceeded MaxGap.
 	TierEscGap = "gap"
 	// TierEscVariance: the cost coefficient of variation exceeded MaxCV.
@@ -189,17 +208,31 @@ func tierDistAt(phases []*stats.Dist, i int) *stats.Dist {
 	return phases[i]
 }
 
+// tierCert is the gap certificate a greedy plan carries into the left-deep
+// DP when it failed only the gap check: the plan, the per-relation weights
+// w_j = scan_j + floor_j that turn a complete level into LB_k, and the gap
+// threshold. armed is cleared when a level certifies the plan or when the
+// run ends on the DP.
+type tierCert struct {
+	armed   bool
+	gp      tierPlan
+	weights []float64
+	maxGap  float64
+}
+
 // tierGate is the tier controller, invoked at the top of optimizeCtxInner
 // when Options.Tier is TierAuto or TierGreedy. It returns (result, true)
 // when the greedy tier serves; otherwise it records the escalation on
-// o.tier and returns (nil, false) so the DP runs.
+// o.tier and returns (nil, false) so the DP runs. A left-deep plan that
+// fails only the gap check arms o.cert instead, and the DP may still serve
+// it (runLeftDeep, tierCertify).
 func (o *Optimizer) tierGate() (*Result, bool) {
 	ctx := o.ctx
 	risk := ctx.Opts.TierRisk.normalize()
 
 	// The greedy probe touches O(n²) subsets; keep the size memos sparse
 	// for its duration so the fast path never pays the dense 2^n fill.
-	// tierEscalate settles them back before the DP runs.
+	// The memos settle back before the DP's full sweep.
 	ctx.beginSizeProbe()
 
 	// Configurations without greedy scoring: the risk objectives price
@@ -228,29 +261,83 @@ func (o *Optimizer) tierGate() (*Result, bool) {
 		return nil, false
 	}
 
-	lb := o.tierLowerBound(phases)
-	gap := 0.0
-	switch {
-	case lb > 0:
-		gap = gp.cost/lb - 1
-	case gp.cost > 0:
-		gap = math.Inf(1)
-	}
+	weights := o.tierWeights(phases)
+	gap := tierGapOf(gp.cost, o.tierLowerBound(weights))
 
 	if ctx.Opts.Tier == TierGreedy {
 		return o.tierServe(gp, TierForced, gap, nanos), true
 	}
+	highCV := gp.cost > 0 && math.Sqrt(gp.variance)/gp.cost > risk.MaxCV
+	nearBoundary := gp.boundary > risk.BoundaryMass
 	switch {
-	case gap > risk.MaxGap || math.IsNaN(gap):
+	case math.IsNaN(gap):
 		o.tierEscalate(TierEscGap, gap, gp.cost, nanos)
-	case gp.cost > 0 && math.Sqrt(gp.variance)/gp.cost > risk.MaxCV:
+	case gap > risk.MaxGap:
+		if highCV || nearBoundary || o.cfg.Space != SpaceLeftDeep {
+			o.tierEscalate(TierEscGap, gap, gp.cost, nanos)
+			break
+		}
+		// Only the gap failed: let the DP's complete levels try to
+		// certify the plan. Until one does, the run is a gap escalation.
+		o.tier = tierState{tier: TierNameDP, reason: TierEscGap, gap: gap, greedyCost: gp.cost, greedyNanos: nanos, dpStart: time.Now()}
+		o.cert = tierCert{armed: true, gp: gp, weights: weights, maxGap: risk.MaxGap}
+	case highCV:
 		o.tierEscalate(TierEscVariance, gap, gp.cost, nanos)
-	case gp.boundary > risk.BoundaryMass:
+	case nearBoundary:
 		o.tierEscalate(TierEscLevelSet, gap, gp.cost, nanos)
 	default:
 		return o.tierServe(gp, TierLowRisk, gap, nanos), true
 	}
 	return nil, false
+}
+
+// tierGapOf returns greedy/lb − 1, +Inf when a positive cost meets a zero
+// bound, and 0 when both are zero.
+func tierGapOf(greedy, lb float64) float64 {
+	switch {
+	case lb > 0:
+		return greedy/lb - 1
+	case greedy > 0:
+		return math.Inf(1)
+	}
+	return 0
+}
+
+// clears reports whether a lower bound certifies the greedy plan:
+// greedy ≤ (1+MaxGap)·lb.
+func (c *tierCert) clears(lb float64) bool { return tierGapOf(c.gp.cost, lb) <= c.maxGap }
+
+// tierCertify closes a complete DP level below n. open reports that no
+// subset of the level pulled its running LB_k below the certificate (the
+// walk stops tracking once one does), and lb is that LB_k: the greedy plan
+// is served when the level stayed open; otherwise it returns nil and the
+// DP climbs on. A run that has discarded non-finite candidates certifies
+// nothing: a subset whose every candidate was poisoned has no entry, and
+// LB_k would skip it.
+func (o *Optimizer) tierCertify(open bool, lb float64) *Result {
+	if open && !math.IsInf(lb, 1) && !o.ctx.sawNonFinite() {
+		gp := o.cert.gp
+		o.cert = tierCert{}
+		return o.tierServe(gp, TierCertified, tierGapOf(gp.cost, lb), o.tier.greedyNanos)
+	}
+	// The DP goes on past this level: give it the dense memos it was sized
+	// for (a no-op after the first call).
+	o.ctx.endSizeProbe()
+	return nil
+}
+
+// tierEndDP closes a certificate that no DP level cleared: the run ended on
+// the DP, so it counts as the gap escalation tierGate recorded.
+func (o *Optimizer) tierEndDP(res *Result) {
+	if !o.cert.armed {
+		return
+	}
+	o.cert = tierCert{}
+	o.ctx.Count.TierEscalations++
+	o.ctx.endSizeProbe()
+	if res != nil {
+		res.Count = o.ctx.snapshotCount()
+	}
 }
 
 // tierServe builds the served greedy Result and records the tier outcome.
@@ -280,13 +367,18 @@ func (o *Optimizer) tierEscalate(reason string, gap, greedyCost float64, nanos i
 // tier metrics. Runs with Options.Tier == TierDP leave o.tier zero and this
 // is a no-op. Called from OptimizeCtx's epilogue, before flushMetrics so the
 // TierGreedyServed/TierEscalations counter deltas flush in the same run.
+// A greedy ladder rung's TierGap, checked against a complete DP level, is
+// kept over the gate's LB_1 gap.
 func (o *Optimizer) stampTier(res *Result) {
 	t := o.tier
 	if t.tier == "" {
 		return
 	}
 	if res != nil && res.Tier == "" {
-		res.Tier, res.TierReason, res.TierGap = t.tier, t.reason, t.gap
+		res.Tier, res.TierReason = t.tier, t.reason
+		if res.TierGap == 0 {
+			res.TierGap = t.gap
+		}
 	}
 	m := o.ctx.metrics
 	if m == nil || m.Tier == nil {
@@ -507,11 +599,11 @@ func tierBoundaryMass(d *stats.Dist, bps []float64, margin float64) float64 {
 	return mass
 }
 
-// tierLowerBound returns an admissible lower bound on the expected cost of
-// ANY plan in the configured space: every relation must be scanned at least
-// once (at its cheapest access path), and in the left-deep and pipelined
-// spaces every relation except one enters as the fresh inner of exactly one
-// join, whose cost is floored per method:
+// tierWeights returns each relation's share of the lower bounds: w_j =
+// scan_j + floor_j, the least relation j adds to a left-deep or pipelined
+// plan that does not start with it. It is scanned at least once (at its
+// cheapest access path), and it enters exactly one join as the fresh
+// inner, whose cost is floored per method:
 //
 //   - sort-merge ≥ smFactor(b, memHi)·b — the factor is non-increasing in
 //     memory and non-decreasing in the larger input, and a+b ≥ b;
@@ -522,20 +614,22 @@ func tierBoundaryMass(d *stats.Dist, bps []float64, margin float64) float64 {
 //     a + a·b > b; with smaller memory a sub-page outer can make a + a·b
 //     arbitrarily small, so the floor degrades to 0.
 //
-// The a=0 evaluations of JoinCost compute the first three floors exactly.
-// The bushy space admits plans where a relation never meets a fresh scan
-// (both join inputs composite), so it keeps only the scan terms — a weaker
-// bound that makes TierAuto escalate on anything non-trivial, which is the
-// conservative behavior we want there. Sorts and aggregations only add cost.
-func (o *Optimizer) tierLowerBound(phases []*stats.Dist) float64 {
+// The a=0 evaluations of JoinCost compute the first three floors exactly,
+// at the most favourable memory of any phase. The bushy space admits plans
+// where a relation never meets a fresh scan (both join inputs composite),
+// so there the floor is 0 and only the scan terms remain — a weaker bound
+// that makes TierAuto escalate on anything non-trivial, which is the
+// conservative behavior we want there. Sorts and aggregations only add
+// cost.
+func (o *Optimizer) tierWeights(phases []*stats.Dist) []float64 {
 	ctx := o.ctx
 	n := ctx.Q.NumRels()
-	lb := 0.0
-	for i := 0; i < n; i++ {
-		lb += ctx.BestScan(i).AccessCost()
+	w := make([]float64, n)
+	for j := range w {
+		w[j] = ctx.BestScan(j).AccessCost()
 	}
-	if n < 2 || o.cfg.Space == SpaceBushy {
-		return lb
+	if o.cfg.Space == SpaceBushy {
+		return w
 	}
 	memHi, memLo := 1.0, math.Inf(1)
 	for _, d := range phases {
@@ -549,8 +643,7 @@ func (o *Optimizer) tierLowerBound(phases []*stats.Dist) float64 {
 	if memLo < 1 {
 		memLo = 1 // JoinCost clamps mem below one page
 	}
-	floors := make([]float64, n)
-	for j := 0; j < n; j++ {
+	for j := range w {
 		b := ctx.basePages[j]
 		f := math.Inf(1)
 		for _, m := range ctx.Opts.Methods {
@@ -568,13 +661,71 @@ func (o *Optimizer) tierLowerBound(phases []*stats.Dist) float64 {
 				f = mf
 			}
 		}
-		floors[j] = f
+		w[j] += f
 	}
-	sort.Float64s(floors)
-	for _, f := range floors[:n-1] {
-		lb += f
+	return w
+}
+
+// restBound returns Σ_{j∉s} w_j: the least the relations outside a prefix s
+// add to any plan that extends it.
+func restBound(w []float64, s query.RelSet) float64 {
+	lb := 0.0
+	for t := query.FullSet(len(w)) &^ s; t != 0; t &= t - 1 {
+		lb += w[bits.TrailingZeros32(uint32(t))]
 	}
 	return lb
+}
+
+// tierLowerBound returns LB_1, an admissible lower bound on the expected
+// cost of ANY plan in the configured space: min over the first relation j
+// of scan_j + Σ_{i≠j} w_i — every relation's cheapest access path plus the
+// n−1 smallest join floors.
+func (o *Optimizer) tierLowerBound(w []float64) float64 {
+	lb := math.Inf(1)
+	for j := range w {
+		if b := o.ctx.BestScan(j).AccessCost() + restBound(w, query.NewRelSet(j)); b < lb {
+			lb = b
+		}
+	}
+	return lb
+}
+
+// levelBound returns LB_k over the complete level k of a left-deep DP
+// table: min over the level's solved subsets S of OPT(S) + restBound(S).
+// Level 1 holds the access paths, so levelBound(tab, 1, w) is LB_1.
+func (o *Optimizer) levelBound(tab *dpTab, k int, w []float64) float64 {
+	lb := math.Inf(1)
+	o.ctx.levelSubsets(k, func(s query.RelSet) {
+		if e := tab.get(s); e.node != nil {
+			if b := e.cost + restBound(w, s); b < lb {
+				lb = b
+			}
+		}
+	})
+	return lb
+}
+
+// checkedBound returns LB_k of an interrupted left-deep walk's last
+// complete level k, for the greedy ladder rung to report its gap against,
+// or 0 when the run has no such bound: the risk objectives and the
+// multi-parameter coster price DP entries in other units than the greedy
+// plan's expected cost, and a run that discarded non-finite candidates may
+// be missing entries.
+func (o *Optimizer) checkedBound(tab *dpTab, k int) float64 {
+	if _, ok := o.cfg.objective().(ExpectedCost); !ok || o.ctx.sawNonFinite() {
+		return 0
+	}
+	if _, multi := o.cfg.Coster.(MultiParams); multi {
+		return 0
+	}
+	w := o.cert.weights
+	if w == nil {
+		w = o.tierWeights(o.phaseDists())
+	}
+	if lb := o.levelBound(tab, k, w); !math.IsInf(lb, 1) {
+		return lb
+	}
+	return 0
 }
 
 // TieredCtx optimizes q with the greedy fast path armed (Options.Tier is

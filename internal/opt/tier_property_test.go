@@ -15,13 +15,21 @@ package opt
 //   - whenever TierAuto does not serve, it escalates with a typed reason
 //     and the DP result is identical to a plain TierDP run;
 //   - a seeded adversarial instance with probability mass straddling the
-//     chosen method's cost level-set boundary must escalate.
+//     chosen method's cost level-set boundary must escalate;
+//   - every complete left-deep DP level's bound LB_k is admissible and the
+//     bounds climb with k, so a plan served with reason "certified" is
+//     within (1+MaxGap) of the optimum too;
+//   - the certificate leaves Tier: dp runs' effort counters untouched, and
+//     an interrupted DP's greedy rung reports its gap against the last
+//     complete level.
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/stats"
@@ -160,8 +168,8 @@ func TestTierAutoGapBoundRandomGraphs(t *testing.T) {
 		switch res.Tier {
 		case TierNameGreedy:
 			served++
-			if res.TierReason != TierLowRisk {
-				t.Fatalf("seed %d: served reason %q, want %q", seed, res.TierReason, TierLowRisk)
+			if res.TierReason != TierLowRisk && res.TierReason != TierCertified {
+				t.Fatalf("seed %d: served reason %q, want %q or %q", seed, res.TierReason, TierLowRisk, TierCertified)
 			}
 			checkGreedyPlanShape(t, q, res.Plan)
 			trueCost := plan.ExpCostPhased(res.Plan, auto.phaseDists())
@@ -305,7 +313,7 @@ func TestTierLowerBoundAdmissible(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		lb := eng.tierLowerBound(eng.phaseDists())
+		lb := eng.tierLowerBound(eng.tierWeights(eng.phaseDists()))
 		if math.IsNaN(lb) || math.IsInf(lb, 0) {
 			t.Fatalf("seed %d: non-finite lower bound %v", seed, lb)
 		}
@@ -314,4 +322,326 @@ func TestTierLowerBoundAdmissible(t *testing.T) {
 				seed, shape, n, lb, res.Cost)
 		}
 	}
+}
+
+// levelBoundConfigs is the left-deep grid the LB_k properties run over:
+// the static and phased costers, both enumerators, with and without ORDER
+// BY (the orderBy flag alternates per instance).
+func levelBoundConfigs(dm *stats.Dist) []struct {
+	cfg  Config
+	enum Enumeration
+} {
+	phases := []*stats.Dist{
+		stats.MustNew([]float64{300, 2500}, []float64{0.5, 0.5}),
+		dm,
+		stats.MustNew([]float64{80, 900, 6000}, []float64{0.2, 0.5, 0.3}),
+	}
+	var out []struct {
+		cfg  Config
+		enum Enumeration
+	}
+	for _, c := range []Config{{Coster: StaticParams{Mem: dm}}, {Coster: PhasedParams{Phases: phases}}} {
+		for _, e := range []Enumeration{EnumExhaustive, EnumConnected} {
+			out = append(out, struct {
+				cfg  Config
+				enum Enumeration
+			}{c, e})
+		}
+	}
+	return out
+}
+
+// TestTierLevelBoundAdmissible: after a complete left-deep DP, LB_k over
+// every level k is at most the optimum the same search returns, LB_1 is the
+// gate's tierLowerBound, and the bounds never fall as k grows. Under
+// EnumExhaustive the optimum is the exhaustive lattice's (and, for n ≤ 5,
+// the brute-force oracle's); under EnumConnected it is the connected
+// space's, which is the optimum a TierAuto run with that enumerator would
+// otherwise return.
+func TestTierLevelBoundAdmissible(t *testing.T) {
+	checked := 0
+	for i := 0; i < 96; i++ {
+		seed := int64(52000 + i)
+		dm := randMemDist3(seed)
+		cfgs := levelBoundConfigs(dm)
+		cc := cfgs[i%len(cfgs)]
+		n := 2 + i%7 // 2..8
+		shape := tierShapes[i%len(tierShapes)]
+		cat, q := randInstance(t, seed, n, shape, i%2 == 0)
+		eng, err := NewOptimizer(cat, q, Options{Enumeration: cc.enum}, cc.cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		res, err := eng.Optimize()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		optimum := res.Cost
+		if cc.enum == EnumExhaustive && n <= 5 {
+			ex, err := ExhaustiveLECPhased(cat, q, Options{}, eng.phaseDists())
+			if err != nil {
+				t.Fatalf("seed %d: oracle: %v", seed, err)
+			}
+			if relDiff(ex.Cost, optimum) > costTol {
+				t.Fatalf("seed %d: DP %v != oracle %v", seed, optimum, ex.Cost)
+			}
+		}
+		w := eng.tierWeights(eng.phaseDists())
+		if lb1, gate := eng.levelBound(&eng.dpt, 1, w), eng.tierLowerBound(w); lb1 != gate {
+			t.Fatalf("seed %d: LB_1 from the DP table %v != gate bound %v", seed, lb1, gate)
+		}
+		prev := 0.0
+		for k := 1; k <= n; k++ {
+			lb := eng.levelBound(&eng.dpt, k, w)
+			if math.IsNaN(lb) || math.IsInf(lb, 0) {
+				t.Fatalf("seed %d k=%d: non-finite LB_k %v", seed, k, lb)
+			}
+			if lb > optimum*(1+1e-9) {
+				t.Fatalf("seed %d %v n=%d enum=%v order=%v k=%d: LB_k %v exceeds OPT %v — not admissible",
+					seed, shape, n, cc.enum, q.OrderBy != nil, k, lb, optimum)
+			}
+			if lb < prev*(1-1e-9) {
+				t.Fatalf("seed %d k=%d: LB_k %v fell below LB_%d %v", seed, k, lb, k-1, prev)
+			}
+			prev = lb
+			checked++
+		}
+	}
+	t.Logf("%d level bounds checked", checked)
+}
+
+// TestTierCertifiedWithinGap runs TierAuto over the left-deep grid and
+// checks every plan served through the certified path: its true expected
+// cost is within (1+MaxGap) of the DP optimum, its reported gap is within
+// MaxGap and at most the gate's LB_1 gap, and it never ran the DP's last
+// level.
+func TestTierCertifiedWithinGap(t *testing.T) {
+	risk := TierRisk{}.normalize()
+	certified := 0
+	for i := 0; i < 160; i++ {
+		seed := int64(53000 + i)
+		dm := randMemDist3(seed)
+		cfgs := levelBoundConfigs(dm)
+		cc := cfgs[i%len(cfgs)]
+		n := 3 + i%6 // 3..8
+		shape := tierShapes[i%len(tierShapes)]
+		cat, q := randInstance(t, seed, n, shape, i%3 == 0)
+		opts := Options{Tier: TierAuto, Enumeration: cc.enum}
+		auto, err := NewOptimizer(cat, q, opts, cc.cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		res, err := auto.Optimize()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res.TierReason != TierCertified {
+			continue
+		}
+		certified++
+		opts.Tier = TierDP
+		dpEng, err := NewOptimizer(cat, q, opts, cc.cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		dp, err := dpEng.Optimize()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		checkGreedyPlanShape(t, q, res.Plan)
+		trueCost := plan.ExpCostPhased(res.Plan, auto.phaseDists())
+		if relDiff(trueCost, res.Cost) > 1e-9 {
+			t.Fatalf("seed %d: served cost %v != re-scored %v", seed, res.Cost, trueCost)
+		}
+		if bound := (1 + risk.MaxGap) * dp.Cost * (1 + 1e-9); trueCost > bound {
+			t.Fatalf("seed %d %v n=%d: certified plan costs %v, above (1+%.2f)·OPT = %v",
+				seed, shape, n, trueCost, risk.MaxGap, bound)
+		}
+		lb1Gap := res.Cost/auto.tierLowerBound(auto.tierWeights(auto.phaseDists())) - 1
+		if res.TierGap > risk.MaxGap || res.TierGap > lb1Gap {
+			t.Fatalf("seed %d: certified gap %v, MaxGap %v, LB_1 gap %v", seed, res.TierGap, risk.MaxGap, lb1Gap)
+		}
+		if res.Count.Subsets >= dp.Count.Subsets {
+			t.Fatalf("seed %d: certified run visited %d subsets, the full DP %d", seed, res.Count.Subsets, dp.Count.Subsets)
+		}
+	}
+	if certified == 0 {
+		t.Fatal("no run was served through the certified path; the certificate is dead")
+	}
+	t.Logf("%d runs served certified", certified)
+}
+
+// tierDPCounterGrid sums the effort counters of TierDP runs over a
+// left-deep grid (static/phased costers, both enumerators, ORDER BY on and
+// off, n = 2..9).
+func tierDPCounterGrid(t *testing.T) Counters {
+	var total Counters
+	for i := 0; i < 48; i++ {
+		seed := int64(54000 + i)
+		dm := randMemDist3(seed)
+		cfgs := levelBoundConfigs(dm)
+		cc := cfgs[i%len(cfgs)]
+		cat, q := randInstance(t, seed, 2+i%8, tierShapes[i%len(tierShapes)], i%2 == 1)
+		eng, err := NewOptimizer(cat, q, Options{Enumeration: cc.enum}, cc.cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		res, err := eng.Optimize()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		total.Add(res.Count)
+	}
+	return total
+}
+
+// TestTierDPCountersUnchanged pins the effort counters of plain TierDP runs
+// to the totals recorded before the certificate and the lazily counted
+// connected lattice existed: neither may change what a Tier: dp run does.
+func TestTierDPCountersUnchanged(t *testing.T) {
+	got := tierDPCounterGrid(t)
+	want := tierDPCountersPinned
+	if got != want {
+		t.Fatalf("TierDP counters changed:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestTierCertifiedCounters checks the provenance of one certified run and
+// one escalated run: the certified run counts as greedy-served, not as an
+// escalation, and records no DP latency or regret; the escalated run counts
+// one gap escalation, one DP latency and one regret observation.
+func TestTierCertifiedCounters(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := obs.NewOptMetrics(reg)
+	dm := stats.Point(5000)
+
+	cat, q := certifiedChain3()
+	eng, err := NewOptimizer(cat, q, Options{Tier: TierAuto, Metrics: m}, Config{Coster: StaticParams{Mem: dm}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Optimize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Tier != TierNameGreedy || res.TierReason != TierCertified {
+		t.Fatalf("chain3: tier=%q reason=%q, want greedy/%s", res.Tier, res.TierReason, TierCertified)
+	}
+	if lb1Gap := res.Cost/eng.tierLowerBound(eng.tierWeights(eng.phaseDists())) - 1; lb1Gap <= DefaultTierMaxGap || res.TierGap > DefaultTierMaxGap {
+		t.Fatalf("chain3: LB_1 gap %v, certified gap %v; want LB_1 to fail and LB_2 to clear %v", lb1Gap, res.TierGap, DefaultTierMaxGap)
+	}
+	if res.Count.TierGreedyServed != 1 || res.Count.TierEscalations != 0 {
+		t.Fatalf("chain3 counters: served %d, escalations %d; want 1, 0", res.Count.TierGreedyServed, res.Count.TierEscalations)
+	}
+	tm := m.Tier
+	if tm.GreedyServed.Value() != 1 || tm.Escalations.Value() != 0 || tm.EscalationGap.Value() != 0 ||
+		tm.DPSeconds.Count() != 0 || tm.Regret.Count() != 0 || tm.GreedySeconds.Count() != 1 {
+		t.Fatalf("chain3 metrics: served %v escalations %v gap %v dp %d regret %d greedy %d",
+			tm.GreedyServed.Value(), tm.Escalations.Value(), tm.EscalationGap.Value(),
+			tm.DPSeconds.Count(), tm.Regret.Count(), tm.GreedySeconds.Count())
+	}
+
+	// Star seed 2 at n=10 fails the gap check at every level.
+	escCat, escQ := randInstance(t, 2, 10, workload.Star, false)
+	esc, err := NewOptimizer(escCat, escQ, Options{Tier: TierAuto, Metrics: m}, Config{Coster: StaticParams{Mem: tierBenchDist()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = esc.Optimize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Tier != TierNameDP || res.TierReason != TierEscGap {
+		t.Fatalf("star10: tier=%q reason=%q, want dp/%s", res.Tier, res.TierReason, TierEscGap)
+	}
+	if res.Count.TierGreedyServed != 0 || res.Count.TierEscalations != 1 {
+		t.Fatalf("star10 counters: served %d, escalations %d; want 0, 1", res.Count.TierGreedyServed, res.Count.TierEscalations)
+	}
+	if tm.GreedyServed.Value() != 1 || tm.Escalations.Value() != 1 || tm.EscalationGap.Value() != 1 ||
+		tm.DPSeconds.Count() != 1 || tm.Regret.Count() != 1 || tm.GreedySeconds.Count() != 2 {
+		t.Fatalf("after star10 metrics: served %v escalations %v gap %v dp %d regret %d greedy %d",
+			tm.GreedyServed.Value(), tm.Escalations.Value(), tm.EscalationGap.Value(),
+			tm.DPSeconds.Count(), tm.Regret.Count(), tm.GreedySeconds.Count())
+	}
+}
+
+// certifiedChain3 is the three-relation chain of cmd/lecd's chain3 test
+// catalog: c (filtered to 99 rows) joins b, then a. The first join's outer
+// read escapes LB_1, so the greedy plan fails the gap check there, and
+// LB_2 prices that join exactly and certifies the plan.
+func certifiedChain3() (*catalog.Catalog, *query.SPJ) {
+	cat := catalog.New()
+	cat.MustAdd(&catalog.Table{Name: "a", Rows: 10000, Pages: 1000,
+		Columns: []*catalog.Column{{Name: "k", Distinct: 10000, Min: 1, Max: 10000}}})
+	cat.MustAdd(&catalog.Table{Name: "b", Rows: 10000, Pages: 1000,
+		Columns: []*catalog.Column{
+			{Name: "k", Distinct: 10000, Min: 1, Max: 10000},
+			{Name: "j", Distinct: 10000, Min: 1, Max: 10000},
+		}})
+	cat.MustAdd(&catalog.Table{Name: "c", Rows: 1000, Pages: 100,
+		Columns: []*catalog.Column{{Name: "j", Distinct: 1000, Min: 1, Max: 1000}}})
+	col := func(t, c string) query.ColumnRef { return query.ColumnRef{Table: t, Column: c} }
+	q := &query.SPJ{
+		Tables: []string{"a", "b", "c"},
+		Joins: []query.JoinPred{
+			{Left: col("a", "k"), Right: col("b", "k"), Selectivity: 1.0 / 10000},
+			{Left: col("b", "j"), Right: col("c", "j"), Selectivity: 1.0 / 10000},
+		},
+		Selections: []query.Selection{{Col: col("c", "j"), Selectivity: 0.099}},
+	}
+	return cat, q
+}
+
+// TestLadderReportsCheckedGap: a budget that interrupts the left-deep DP
+// after some complete levels sends the run to the greedy rung, which
+// reports its gap against the last complete level's LB_k: a true bound on
+// how far the degraded plan is from the optimum, and no looser than LB_1's.
+func TestLadderReportsCheckedGap(t *testing.T) {
+	tightened := 0
+	for i := 0; i < 24; i++ {
+		seed := int64(55000 + i)
+		dm := randMemDist3(seed)
+		cat, q := randInstance(t, seed, 7, tierShapes[i%len(tierShapes)], i%2 == 0)
+		full, err := AlgorithmC(cat, q, Options{}, dm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget := full.Count.CostEvals * (1 + i%3) / 4
+		eng, err := NewOptimizer(cat, q, Options{Budget: Budget{MaxCostEvals: budget}}, Config{Coster: StaticParams{Mem: dm}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.OptimizeCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rung != RungGreedy {
+			t.Fatalf("seed %d budget %d: rung %q, want %q", seed, budget, res.Rung, RungGreedy)
+		}
+		if res.TierGap < 0 || math.IsNaN(res.TierGap) || math.IsInf(res.TierGap, 0) {
+			t.Fatalf("seed %d: greedy rung gap %v", seed, res.TierGap)
+		}
+		if res.Cost > (1+res.TierGap)*full.Cost*(1+1e-9) {
+			t.Fatalf("seed %d: greedy rung costs %v, above (1+%v)·OPT = %v", seed, res.Cost, res.TierGap, (1+res.TierGap)*full.Cost)
+		}
+		lb1Gap := res.Cost/eng.tierLowerBound(eng.tierWeights(eng.phaseDists())) - 1
+		if res.TierGap > lb1Gap*(1+1e-9) {
+			t.Fatalf("seed %d: checked gap %v looser than LB_1 gap %v", seed, res.TierGap, lb1Gap)
+		}
+		if res.TierGap < lb1Gap*(1-1e-9) {
+			tightened++
+		}
+	}
+	if tightened == 0 {
+		t.Fatal("no interrupted run tightened its gap past LB_1")
+	}
+	t.Logf("%d of 24 interrupted runs reported a gap tighter than LB_1's", tightened)
+}
+
+// tierDPCountersPinned is tierDPCounterGrid's total, recorded before the
+// certificate existed.
+var tierDPCountersPinned = Counters{
+	CostEvals: 173815, PlansBuilt: 4952, Subsets: 3751, SubsetsEnumerated: 3751,
+	SubsetsSkipped: 2057, JoinSteps: 58500, Prunes: 44657, MemoHits: 5463,
+	ArenaSize: 564, ArenaHits: 48,
 }

@@ -161,12 +161,14 @@ type Decision struct {
 	// "dp" after an escalation. Empty when tiering was off or the strategy
 	// routes around the tier controller (the multi-bucket candidate pools).
 	Tier string
-	// TierReason says why that tier answered: "low-risk"/"forced" for a
-	// served greedy plan, or the escalation trigger ("gap", "variance",
-	// "level-set", "objective", "fault", "unplannable").
+	// TierReason says why that tier answered: "low-risk"/"forced"/
+	// "certified" for a served greedy plan, or the escalation trigger
+	// ("gap", "variance", "level-set", "objective", "fault", "unplannable").
 	TierReason string
-	// TierGap is the greedy plan's relative expected-cost gap vs the
-	// admissible lower bound (greedy/LB − 1), when computed.
+	// TierGap is the greedy plan's relative expected-cost gap vs an
+	// admissible lower bound (greedy/LB − 1), when computed; a "certified"
+	// plan and a degraded plan from the greedy ladder rung report it
+	// against the bound of the DP's last complete level.
 	TierGap float64
 	// Trace is the structured decision trace — per-subset winner/runner-up
 	// decisions and every finished root candidate — populated only when
