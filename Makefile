@@ -114,9 +114,11 @@ calibrate:
 
 # Smoke the native fuzz targets: the parser/binder and the public optimizer
 # facade must never panic on arbitrary input (see ISSUE robustness work),
-# and the peer wire codec must decode arbitrary bytes without panicking or
-# over-allocating, re-encoding whatever it accepts to the same bytes.
+# and the peer wire codec and the request-key codec must decode arbitrary
+# bytes without panicking or over-allocating, re-encoding whatever they
+# accept to the same bytes.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSQL -fuzztime $(FUZZTIME) ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzOptimize -fuzztime $(FUZZTIME) ./lec
 	$(GO) test -run '^$$' -fuzz FuzzPeerWire -fuzztime $(FUZZTIME) ./internal/fleet
+	$(GO) test -run '^$$' -fuzz FuzzSpec -fuzztime $(FUZZTIME) ./internal/serve

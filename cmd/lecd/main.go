@@ -45,8 +45,8 @@
 //	GET  /readyz    load-balancer readiness (503 once draining)
 //	GET  /statsz    service counters as JSON
 //	GET  /clusterz  fleet status as JSON ({"fleet": false} when standalone)
-//	POST /fleet/v3/lookup, /fleet/v3/propagate,
-//	     /fleet/v3/membership, /fleet/v3/handoff
+//	POST /fleet/v4/lookup, /fleet/v4/propagate,
+//	     /fleet/v4/membership, /fleet/v4/handoff
 //	                the peer-to-peer protocol, binary-encoded (mounted with
 //	                -peers or -join)
 //

@@ -242,13 +242,13 @@ func TestClusterzStandalone(t *testing.T) {
 		t.Errorf("/clusterz without -peers = %v, want {\"fleet\": false}", out)
 	}
 	// Without a fleet node, the peer protocol is not mounted.
-	pr, err := http.Post(ts.URL+"/fleet/v3/propagate", "application/octet-stream", strings.NewReader("\x03\x01"))
+	pr, err := http.Post(ts.URL+"/fleet/v4/propagate", "application/octet-stream", strings.NewReader("\x03\x01"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pr.Body.Close()
 	if pr.StatusCode != http.StatusNotFound {
-		t.Errorf("/fleet/v3/propagate without -peers = %d, want 404", pr.StatusCode)
+		t.Errorf("/fleet/v4/propagate without -peers = %d, want 404", pr.StatusCode)
 	}
 }
 

@@ -36,7 +36,7 @@
 // well as the fixed delay. With Config.Replicas R > 1, each key is owned
 // by R successive ring nodes: the primary serves the request path
 // (preserving the one-DP-per-key invariant), fresh plans are pushed to
-// the other replicas asynchronously as request specs they replay through
+// the other replicas asynchronously as request keys they replay through
 // their own optimizers, and a failed primary degrades the hit rate by
 // ~1/R instead of cold-starting its whole range.
 package fleet
@@ -155,7 +155,7 @@ type Node struct {
 	flights group // requester-side single-flight over remote keys
 
 	warmMu  sync.Mutex
-	warmSet map[string]WarmSpec // key -> replayable request spec
+	warmSet map[string]struct{} // replayable request keys
 
 	peerMu    sync.Mutex
 	peerState map[string]*peerState
@@ -229,7 +229,7 @@ func New(svc *serve.Service, cfg Config) (*Node, error) {
 	n := &Node{
 		svc:       svc,
 		cfg:       cfg,
-		warmSet:   make(map[string]WarmSpec),
+		warmSet:   make(map[string]struct{}),
 		peerState: make(map[string]*peerState),
 		clock:     time.Now,
 	}
@@ -364,7 +364,7 @@ func (n *Node) localOnly(ctx context.Context, req serve.Request, key string) (*R
 	if err != nil {
 		return nil, err
 	}
-	n.noteServed(key, req, resp)
+	n.noteServed(key, resp)
 	n.maybeReplicate(key, resp)
 	return &Reply{Local: resp}, nil
 }
@@ -440,7 +440,7 @@ func (n *Node) race(ctx context.Context, req serve.Request, key string, localPri
 	localLaunched := localPrimary
 	launch := func(c candidate, hedge bool) {
 		pending++
-		go n.lookupBranch(rctx, c.peer, key, req, hedge, out)
+		go n.lookupBranch(rctx, c.peer, key, hedge, out)
 	}
 	if localPrimary {
 		pending++
@@ -486,7 +486,7 @@ func (n *Node) race(ctx context.Context, req serve.Request, key string, localPri
 			pending--
 			if b.err == nil {
 				cancel()
-				return n.winner(b, req, key, hedged), nil
+				return n.winner(b, key, hedged), nil
 			}
 			if b.local != nil {
 				localErr = b.err
@@ -522,7 +522,7 @@ func (n *Node) race(ctx context.Context, req serve.Request, key string, localPri
 }
 
 // winner wraps the winning branch into a Reply, counting it.
-func (n *Node) winner(b branchOut, req serve.Request, key string, hedged bool) *Reply {
+func (n *Node) winner(b branchOut, key string, hedged bool) *Reply {
 	r := &Reply{Hedged: hedged, HedgeWon: b.hedge}
 	if b.hedge {
 		n.c.hedgeWins.Add(1)
@@ -532,7 +532,7 @@ func (n *Node) winner(b branchOut, req serve.Request, key string, hedged bool) *
 	}
 	if b.local != nil {
 		r.Local = b.local
-		n.noteServed(key, req, b.local)
+		n.noteServed(key, b.local)
 		n.maybeReplicate(key, b.local)
 		return r
 	}
@@ -559,7 +559,7 @@ func (n *Node) fallback(ctx context.Context, req serve.Request, key string, hedg
 	if err != nil {
 		return nil, err
 	}
-	n.noteServed(key, req, resp)
+	n.noteServed(key, resp)
 	return &Reply{Local: resp, Hedged: hedged, FellBack: true}, nil
 }
 
@@ -576,7 +576,7 @@ func (n *Node) localBranch(ctx context.Context, req serve.Request, key string, h
 // lookupBranch runs one peer lookup as a race branch, isolating panics:
 // a peer (or transport) blowing up mid-call is a peer failure like any
 // other, never the requester's crash.
-func (n *Node) lookupBranch(ctx context.Context, peer, key string, req serve.Request, hedge bool, out chan<- branchOut) {
+func (n *Node) lookupBranch(ctx context.Context, peer, key string, hedge bool, out chan<- branchOut) {
 	defer func() {
 		if p := recover(); p != nil {
 			n.c.drops.Add(1)
@@ -587,7 +587,7 @@ func (n *Node) lookupBranch(ctx context.Context, peer, key string, req serve.Req
 			out <- branchOut{hedge: hedge, node: peer, err: fmt.Errorf("%w: %s panicked: %v", ErrPeerUnreachable, peer, p)}
 		}
 	}()
-	rep, err := n.lookup(ctx, peer, key, req, hedge)
+	rep, err := n.lookup(ctx, peer, key, hedge)
 	if err != nil {
 		out <- branchOut{hedge: hedge, node: peer, err: err}
 		return
@@ -598,7 +598,7 @@ func (n *Node) lookupBranch(ctx context.Context, peer, key string, req serve.Req
 // lookup sends one peer lookup and applies the generation protocol to the
 // reply: reject older-generation answers (nudging the laggard with a
 // propagate), adopt newer ones.
-func (n *Node) lookup(ctx context.Context, peer, key string, req serve.Request, hedge bool) (*LookupReply, error) {
+func (n *Node) lookup(ctx context.Context, peer, key string, hedge bool) (*LookupReply, error) {
 	if faultinject.Check(faultinject.FleetPeerLookup) == faultinject.KindDrop {
 		n.c.drops.Add(1)
 		if n.m != nil {
@@ -607,12 +607,8 @@ func (n *Node) lookup(ctx context.Context, peer, key string, req serve.Request, 
 		n.notePeerDown(peer, "injected partition")
 		return nil, fmt.Errorf("%w: %s (injected partition)", ErrPeerUnreachable, peer)
 	}
-	spec, err := newWarmSpec(key, req)
-	if err != nil {
-		return nil, err
-	}
 	wreq := &LookupRequest{
-		Spec:       spec,
+		Key:        key,
 		Generation: n.svc.Generation(),
 		Epoch:      n.Epoch(),
 		From:       n.cfg.Self,
@@ -652,9 +648,10 @@ func (n *Node) lookup(ctx context.Context, peer, key string, req serve.Request, 
 }
 
 // HandleLookup answers one incoming peer lookup: adopt any newer
-// generation the requester carries, rebuild the request against the local
-// catalog, and serve it through the local single-flight cache — which is
-// the mechanism that keeps a fleet-wide stampede at one engine run.
+// generation the requester carries, decode the request key and rebind it
+// against the local catalog, and serve it through the local single-flight
+// cache — which is the mechanism that keeps a fleet-wide stampede at one
+// engine run.
 func (n *Node) HandleLookup(ctx context.Context, req *LookupRequest) (*LookupReply, error) {
 	if req.Generation > n.svc.Generation() {
 		n.adopt(req.Generation)
@@ -662,7 +659,7 @@ func (n *Node) HandleLookup(ctx context.Context, req *LookupRequest) (*LookupRep
 	if req.Epoch > n.Epoch() && req.From != "" {
 		go n.syncMembership(req.From)
 	}
-	sreq, err := req.Spec.toServe()
+	sreq, err := serve.DecodeKey(req.Key)
 	if err != nil {
 		return nil, err
 	}
@@ -674,7 +671,7 @@ func (n *Node) HandleLookup(ctx context.Context, req *LookupRequest) (*LookupRep
 	if err != nil {
 		return nil, err
 	}
-	n.noteServed(key, bound, resp)
+	n.noteServed(key, resp)
 	n.maybeReplicate(key, resp)
 	depth, _, _ := n.svc.QueueState()
 	return &LookupReply{
@@ -686,11 +683,11 @@ func (n *Node) HandleLookup(ctx context.Context, req *LookupRequest) (*LookupRep
 	}, nil
 }
 
-// maybeReplicate pushes the request spec behind a freshly computed plan
-// to the key's other replicas, asynchronously. Only a replica-set member
+// maybeReplicate pushes the request key behind a freshly computed plan to
+// the key's other replicas, asynchronously. Only a replica-set member
 // pushes (a local fallback on a non-owner does not), and only fresh
 // engine runs do — cached, coalesced, pinned, and degraded serves carry
-// nothing worth propagating. Replicas replay the spec through their own
+// nothing worth propagating. Replicas replay the key through their own
 // optimizer; plans never cross the wire into a cache.
 func (n *Node) maybeReplicate(key string, resp *serve.Response) {
 	if n.cfg.Replicas < 2 {
@@ -707,12 +704,6 @@ func (n *Node) maybeReplicate(key string, resp *serve.Response) {
 	if !containsPeer(reps, n.cfg.Self) {
 		return
 	}
-	n.warmMu.Lock()
-	spec, ok := n.warmSet[key]
-	n.warmMu.Unlock()
-	if !ok {
-		return
-	}
 	for _, p := range reps {
 		if p == n.cfg.Self {
 			continue
@@ -721,7 +712,7 @@ func (n *Node) maybeReplicate(key string, resp *serve.Response) {
 		if n.m != nil {
 			n.m.replicaPushes.Inc()
 		}
-		go n.sendWarm(p, []WarmSpec{spec})
+		go n.sendWarm(p, []string{key})
 	}
 }
 

@@ -63,15 +63,10 @@ func ownerOf(t *testing.T, n *Node, req serve.Request) (key, owner string) {
 	return key, n.view().ring.owner(key)
 }
 
-// lookupRequestFor flattens a canonicalized request into the lookup a
-// requester at generation gen would send.
-func lookupRequestFor(t *testing.T, key string, bound serve.Request, gen uint64) *LookupRequest {
-	t.Helper()
-	spec, err := newWarmSpec(key, bound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &LookupRequest{Spec: spec, Generation: gen}
+// lookupRequestFor is the lookup a requester at generation gen sends for
+// a request key.
+func lookupRequestFor(key string, gen uint64) *LookupRequest {
+	return &LookupRequest{Key: key, Generation: gen}
 }
 
 func totalOptimizations(nodes map[string]*Node) int64 {
@@ -386,11 +381,11 @@ func TestGenerationPropagation(t *testing.T) {
 	// A lookup carrying the newer generation repairs the laggard before it
 	// answers.
 	req := exampleRequest()
-	bound, key, err := laggard.svc.Canonicalize(req)
+	_, key, err := laggard.svc.Canonicalize(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := laggard.HandleLookup(context.Background(), lookupRequestFor(t, key, bound, 2)); err != nil {
+	if _, err := laggard.HandleLookup(context.Background(), lookupRequestFor(key, 2)); err != nil {
 		t.Fatalf("repair lookup failed: %v", err)
 	}
 	if got := laggard.svc.Generation(); got != 2 {
@@ -488,11 +483,11 @@ func TestWireRoundTrip(t *testing.T) {
 	svcA := serve.New(catA, serve.Config{})
 	svcB := serve.New(catB, serve.Config{})
 
-	bound, key, err := svcA.Canonicalize(exampleRequest())
+	_, key, err := svcA.Canonicalize(exampleRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := lookupRequestFor(t, key, bound, 7).Spec.toServe()
+	rebuilt, err := serve.DecodeKey(lookupRequestFor(key, 7).Key)
 	if err != nil {
 		t.Fatal(err)
 	}

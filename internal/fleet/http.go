@@ -15,16 +15,17 @@ import (
 // version answers 404, which the requester treats as a peer miss, instead
 // of misreading the body.
 const (
-	lookupPath     = "/fleet/v3/lookup"
-	propagatePath  = "/fleet/v3/propagate"
-	membershipPath = "/fleet/v3/membership"
-	handoffPath    = "/fleet/v3/handoff"
+	lookupPath     = "/fleet/v4/lookup"
+	propagatePath  = "/fleet/v4/propagate"
+	membershipPath = "/fleet/v4/membership"
+	handoffPath    = "/fleet/v4/handoff"
 )
 
 const contentType = "application/octet-stream"
 
 // maxBody bounds the peer message read from one request or reply body. A
-// handoff batch is the largest message: SnapshotLimit specs of a few KB.
+// handoff batch is the largest message: SnapshotLimit request keys of a
+// few hundred bytes to a few KB each.
 // Bodies that declare at most exactBody bytes are read in one allocation
 // of that size; larger ones grow as their bytes arrive, so a declared
 // length alone cannot make a node allocate much.
@@ -34,7 +35,7 @@ const (
 )
 
 // HTTPTransport dials peers over HTTP: a peer name is a host:port and the
-// protocol is POST of wire.go's binary messages on the /fleet/v3/* paths
+// protocol is POST of wire.go's binary messages on the /fleet/v4/* paths
 // that Handler mounts.
 type HTTPTransport struct {
 	// Client, when nil, uses a private client with sane timeouts.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/serve"
 	"repro/internal/stats"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -67,15 +68,15 @@ func TestWireRoundTripKeepsKeyBits(t *testing.T) {
 			}
 			req := exampleRequest()
 			req.Env.Memory = dm
-			bound, key, err := svcA.Canonicalize(req)
+			_, key, err := svcA.Canonicalize(req)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var got LookupRequest
-			if err := unmarshal(marshal(lookupRequestFor(t, key, bound, 1)), &got); err != nil {
+			if err := unmarshal(marshal(lookupRequestFor(key, 1)), &got); err != nil {
 				t.Fatal(err)
 			}
-			rebuilt, err := got.Spec.toServe()
+			rebuilt, err := serve.DecodeKey(got.Key)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,18 +94,31 @@ func TestWireRoundTripKeepsKeyBits(t *testing.T) {
 	}
 }
 
-// TestWireRejectsUnnormalized checks that the exact rebuild still refuses
-// malformed distributions instead of repairing them.
+// TestWireRejectsUnnormalized checks that decoding a received request key
+// still refuses malformed distributions instead of repairing them. The
+// keys are written field by field in the request key's layout, since no
+// encoder will produce them from a valid request.
 func TestWireRejectsUnnormalized(t *testing.T) {
-	for name, r := range map[string]WarmSpec{
-		"unnormalized": {MemVals: []float64{100, 200}, MemProbs: []float64{1, 1}},
-		"descending":   {MemVals: []float64{200, 100}, MemProbs: []float64{0.5, 0.5}},
-		"duplicate":    {MemVals: []float64{100, 100}, MemProbs: []float64{0.5, 0.5}},
-		"zero prob":    {MemVals: []float64{100, 200}, MemProbs: []float64{0, 1}},
-		"mismatched":   {MemVals: []float64{100, 200}, MemProbs: []float64{1}},
+	key := func(vals, probs []float64) string {
+		// strategy, SQL, join and selection sels, memory, chain states and rows
+		b := wire.AppendStr(wire.AppendInt(nil, 3), "SELECT * FROM A")
+		b = wire.AppendF64s(wire.AppendF64s(b, nil), nil)
+		b = wire.AppendF64s(wire.AppendF64s(b, vals), probs)
+		return string(wire.AppendUvarint(wire.AppendUvarint(b, 0), 0))
+	}
+	if _, err := serve.DecodeKey(key([]float64{100, 200}, []float64{0.5, 0.5})); err != nil {
+		t.Fatalf("a normalized distribution in the same layout is refused: %v", err)
+	}
+	for name, d := range map[string][2][]float64{
+		"unnormalized": {{100, 200}, {1, 1}},
+		"descending":   {{200, 100}, {0.5, 0.5}},
+		"duplicate":    {{100, 100}, {0.5, 0.5}},
+		"zero prob":    {{100, 200}, {0, 1}},
+		"mismatched":   {{100, 200}, {1}},
+		"no support":   {nil, {1}},
 	} {
-		if _, err := r.toServe(); err == nil {
-			t.Errorf("%s: toServe accepted %v / %v", name, r.MemVals, r.MemProbs)
+		if _, err := serve.DecodeKey(key(d[0], d[1])); err == nil {
+			t.Errorf("%s: DecodeKey accepted %v / %v", name, d[0], d[1])
 		}
 	}
 }

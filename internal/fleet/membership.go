@@ -229,37 +229,37 @@ func (n *Node) syncMembership(peer string) {
 	n.exchangeMembership(context.Background(), peer)
 }
 
-// handoffForView pushes warm request specs to the peers that entered a
+// handoffForView pushes warm request keys to the peers that entered a
 // key's replica set in the transition old→next — the new owner of a
-// rebalanced range, or the freshly joined replicas. Specs, never plans,
+// rebalanced range, or the freshly joined replicas. Keys, never plans,
 // cross the wire: the receiver replays them through its own optimizer.
 func (n *Node) handoffForView(old, next *view) {
 	r := n.cfg.Replicas
 	if r < 1 {
 		r = 1
 	}
-	targets := make(map[string][]WarmSpec)
+	targets := make(map[string][]string)
 	n.warmMu.Lock()
-	for key, spec := range n.warmSet {
+	for key := range n.warmSet {
 		newSet := next.ring.sequence(key, r)
 		oldSet := old.ring.sequence(key, r)
 		for _, p := range newSet {
 			if p == n.cfg.Self || containsPeer(oldSet, p) {
 				continue
 			}
-			targets[p] = append(targets[p], spec)
+			targets[p] = append(targets[p], key)
 		}
 	}
 	n.warmMu.Unlock()
-	for p, specs := range targets {
-		go n.sendWarm(p, specs)
+	for p, keys := range targets {
+		go n.sendWarm(p, keys)
 	}
 }
 
 // sendWarm delivers one warm-handoff batch to one peer. Losing it costs
 // warmth, never correctness — the receiver just serves cold — so a drop
 // or error is counted and logged, nothing retries.
-func (n *Node) sendWarm(peer string, specs []WarmSpec) {
+func (n *Node) sendWarm(peer string, keys []string) {
 	defer func() {
 		if p := recover(); p != nil {
 			n.c.handoffFailed.Add(1)
@@ -273,25 +273,25 @@ func (n *Node) sendWarm(peer string, specs []WarmSpec) {
 			n.m.drops.Inc()
 			n.m.handoffFailed.Inc()
 		}
-		n.cfg.Logf("fleet: warm handoff of %d specs to %s dropped (injected partition)", len(specs), peer)
+		n.cfg.Logf("fleet: warm handoff of %d keys to %s dropped (injected partition)", len(keys), peer)
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.HandoffTimeout)
 	defer cancel()
 	v := n.view()
-	req := &HandoffRequest{From: n.cfg.Self, Epoch: v.epoch, Entries: specs}
+	req := &HandoffRequest{From: n.cfg.Self, Epoch: v.epoch, Keys: keys}
 	if _, err := n.cfg.Transport.Handoff(ctx, peer, req); err != nil {
 		n.c.handoffFailed.Add(1)
 		if n.m != nil {
 			n.m.handoffFailed.Inc()
 		}
 		n.notePeerDown(peer, err.Error())
-		n.cfg.Logf("fleet: warm handoff of %d specs to %s failed: %v", len(specs), peer, err)
+		n.cfg.Logf("fleet: warm handoff of %d keys to %s failed: %v", len(keys), peer, err)
 		return
 	}
-	n.c.handoffSent.Add(int64(len(specs)))
+	n.c.handoffSent.Add(int64(len(keys)))
 	if n.m != nil {
-		n.m.handoffSent.Add(float64(len(specs)))
+		n.m.handoffSent.Add(float64(len(keys)))
 	}
 	n.notePeerOK(peer)
 }
@@ -303,29 +303,12 @@ func (n *Node) sendWarm(peer string, specs []WarmSpec) {
 // request-path DPs.
 func (n *Node) HandleHandoff(ctx context.Context, req *HandoffRequest) int {
 	accepted := 0
-	for _, spec := range req.Entries {
-		sreq, err := spec.toServe()
+	what := "handoff entry from " + req.From
+	for _, key := range req.Keys {
+		resp, err := n.replay(ctx, key, what)
 		if err != nil {
-			n.cfg.Logf("fleet: handoff entry from %s skipped: %v", req.From, err)
 			continue
 		}
-		bound, key, err := n.svc.Canonicalize(sreq)
-		if err != nil {
-			n.cfg.Logf("fleet: handoff entry from %s no longer binds: %v", req.From, err)
-			continue
-		}
-		rctx := ctx
-		var cancel context.CancelFunc = func() {}
-		if n.cfg.ReplayTimeout > 0 {
-			rctx, cancel = context.WithTimeout(ctx, n.cfg.ReplayTimeout)
-		}
-		resp, err := n.svc.Optimize(rctx, bound)
-		cancel()
-		if err != nil {
-			n.cfg.Logf("fleet: handoff entry from %s replay failed: %v", req.From, err)
-			continue
-		}
-		n.noteServed(key, bound, resp)
 		if resp.Cached || resp.Coalesced {
 			n.c.warmHits.Add(1)
 			if n.m != nil {

@@ -61,11 +61,11 @@ func newFleetMetrics(reg *obs.Registry, n *Node) *fleetMetrics {
 
 		membershipAdoptions: reg.Counter("lec_fleet_membership_adoptions_total", "Membership views adopted from peers or proposals."),
 
-		handoffSent:   reg.Counter("lec_fleet_handoff_sent_total", "Warm request specs delivered to peers (rebalance and replica pushes)."),
+		handoffSent:   reg.Counter("lec_fleet_handoff_sent_total", "Warm request keys delivered to peers (rebalance and replica pushes)."),
 		handoffFailed: reg.Counter("lec_fleet_handoff_failed_total", "Warm-handoff batches dropped or failed."),
-		warmFills:     reg.Counter("lec_fleet_warm_fills_total", "Handed-off specs replayed into a fresh local plan."),
-		warmHits:      reg.Counter("lec_fleet_warm_hits_total", "Handed-off specs already warm in the local cache."),
-		replicaPushes: reg.Counter("lec_fleet_replica_pushes_total", "Fresh plans pushed to the key's other replicas as specs."),
+		warmFills:     reg.Counter("lec_fleet_warm_fills_total", "Handed-off keys replayed into a fresh local plan."),
+		warmHits:      reg.Counter("lec_fleet_warm_hits_total", "Handed-off keys already warm in the local cache."),
+		replicaPushes: reg.Counter("lec_fleet_replica_pushes_total", "Fresh plans pushed to the key's other replicas as request keys."),
 
 		snapshotSaves:        reg.Counter("lec_fleet_snapshot_saves_total", "Plan-cache snapshots written on drain."),
 		snapshotSaveFailures: reg.Counter("lec_fleet_snapshot_save_failures_total", "Plan-cache snapshot writes that failed."),
@@ -79,7 +79,7 @@ func newFleetMetrics(reg *obs.Registry, n *Node) *fleetMetrics {
 	reg.GaugeFunc("lec_fleet_membership_epoch", "Current membership view epoch.", func() float64 {
 		return float64(n.Epoch())
 	})
-	reg.GaugeFunc("lec_fleet_warm_set_size", "Request specs recorded for snapshots, handoff, and replication.", func() float64 {
+	reg.GaugeFunc("lec_fleet_warm_set_size", "Request keys recorded for snapshots, handoff, and replication.", func() float64 {
 		return float64(n.WarmSetSize())
 	})
 	return m

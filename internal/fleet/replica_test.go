@@ -56,7 +56,7 @@ func hasWarm(n *Node, key string) bool {
 }
 
 // TestReplicaPushWarmsStandby: with R=2, a fresh plan computed by the
-// primary is pushed — as a request spec, not a plan — to the standby
+// primary is pushed — as a request key, not a plan — to the standby
 // replica, which replays it through its own optimizer.
 func TestReplicaPushWarmsStandby(t *testing.T) {
 	_, _, key, primary, standby, other := replicaFleet(t)

@@ -55,11 +55,13 @@ func newRing(peers []string) *ring {
 	return r
 }
 
-// ringHash is FNV-64a finished with a splitmix64-style avalanche. Raw FNV
-// of short, similar strings (peer|i vnode labels, canonical request keys)
-// clusters badly in the high bits sort.Search compares on — measured on a
-// 3-peer ring it gave one node >55% of the keys at any vnode count; the
-// finalizer brings every node within a few percent of fair.
+// ringHash is FNV-64a finished with a splitmix64-style avalanche. It must
+// give every node the same point for a string, so it is not seeded. Raw
+// FNV of short, similar strings (peer|i vnode labels, request keys that
+// differ in a few bytes) clusters badly in the high bits sort.Search
+// compares on — measured on a 3-peer ring it gave one node >55% of the
+// keys at any vnode count; the finalizer brings every node within a few
+// percent of fair.
 func ringHash(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))

@@ -2,7 +2,7 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -11,122 +11,57 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/faultinject"
 	"repro/internal/serve"
-	"repro/internal/stats"
-	"repro/lec"
+	"repro/internal/wire"
 )
 
-// snapshotVersion is bumped whenever the snapshot schema changes; a
-// mismatched file is a cold start, never a parse attempt.
-const snapshotVersion = 1
+// snapshotVersion is bumped whenever the snapshot layout changes. Version
+// 1 was JSON; version 2 is a tagged message of the peer codec (wire.go).
+const snapshotVersion = 2
 
-// snapshotFile is the on-disk warm-start format. It deliberately stores
-// *requests*, not plans: each entry is the canonical SQL plus strategy and
-// environment of a plan the node served fresh, and warm start replays them
-// through the local optimizer. A restarted node therefore never serves a
-// plan it did not derive against its own live catalog — the snapshot can
-// only ever cost startup CPU, not correctness.
-type snapshotFile struct {
-	Version int `json:"version"`
-	// Fingerprint hashes the catalog schema and point statistics the
-	// entries were served under. A mismatch (schema changed across the
-	// restart) is a cold start.
-	Fingerprint string `json:"fingerprint"`
+// ErrSnapshotVersion reports a snapshot file written in another format:
+// a version-1 JSON file, or a version this node does not read. It is a
+// cold start, never a parse attempt of the rest.
+var ErrSnapshotVersion = errors.New("fleet: snapshot version unsupported")
+
+// snapshotMsg is the on-disk warm-start format. It stores request keys,
+// not plans: warm start replays each one through the local optimizer, so
+// a restarted node never serves a plan it did not derive against its own
+// live catalog — the snapshot can only cost startup CPU, not correctness.
+type snapshotMsg struct {
+	Version uint64
+	// Fingerprint hashes the catalog schema and point statistics the keys
+	// were served under. A mismatch (schema changed across the restart) is
+	// a cold start.
+	Fingerprint string
 	// Generation is the catalog generation at save time; the booting node
 	// adopts it so generation numbers stay monotonic across a restart.
-	Generation uint64 `json:"generation"`
+	Generation uint64
 	// Epoch/Peers are the membership view at save time; the booting node
 	// adopts them (when newer than its seed list) so a restart rejoins
 	// the ring it left.
-	Epoch   uint64     `json:"epoch,omitempty"`
-	Peers   []string   `json:"peers,omitempty"`
-	SavedBy string     `json:"saved_by,omitempty"`
-	Entries []WarmSpec `json:"entries"`
+	Epoch   uint64
+	Peers   []string
+	SavedBy string
+	Keys    []string
 }
 
-// WarmSpec is one replayable request spec: the canonical SQL plus the
-// numbers its text cannot express. It is the unit of peer lookups,
-// snapshots, membership handoff, and replica pushes alike: specs travel,
-// plans never do, so a receiver only ever serves plans it derived against
-// its own catalog.
-type WarmSpec struct {
-	// SQL is the canonical pseudo-SQL rendering of the bound query.
-	SQL string `json:"sql"`
-	// Strategy is the numeric lec.Strategy.
-	Strategy int `json:"strategy"`
-	// JoinSels/SelSels carry the bound query's numeric join/selection
-	// selectivities, which the canonical SQL rendering cannot express —
-	// without them the receiver's rebind would silently substitute
-	// catalog-derived estimates and optimize a different query under the
-	// same key.
-	JoinSels []float64 `json:"join_sels,omitempty"`
-	SelSels  []float64 `json:"sel_sels,omitempty"`
-	// MemVals/MemProbs encode the memory distribution.
-	MemVals  []float64 `json:"mem_vals,omitempty"`
-	MemProbs []float64 `json:"mem_probs,omitempty"`
-	// ChainStates/ChainRows encode the optional Markov memory chain.
-	ChainStates []float64   `json:"chain_states,omitempty"`
-	ChainRows   [][]float64 `json:"chain_rows,omitempty"`
-}
-
-// toServe reconstructs the serve request on the receiving side. The SQL is
-// re-bound against the receiver's own catalog — a peer never executes a
-// plan fragment it did not derive itself.
-func (e *WarmSpec) toServe() (serve.Request, error) {
-	out := serve.Request{
-		SQL:           e.SQL,
-		Strategy:      lec.Strategy(e.Strategy),
-		JoinSels:      e.JoinSels,
-		SelectionSels: e.SelSels,
-	}
-	if len(e.MemVals) > 0 {
-		// The sender's distribution is already normalized; rebuilding it
-		// bit for bit keeps the request key identical on both sides.
-		m, err := stats.FromNormalized(e.MemVals, e.MemProbs)
-		if err != nil {
-			return out, fmt.Errorf("fleet: bad memory distribution on the wire: %w", err)
-		}
-		out.Env.Memory = m
-	}
-	if len(e.ChainStates) > 0 {
-		c, err := stats.NewChain(e.ChainStates, e.ChainRows)
-		if err != nil {
-			return out, fmt.Errorf("fleet: bad memory chain on the wire: %w", err)
-		}
-		out.Env.Chain = c
-	}
-	return out, nil
-}
-
-// noteServed records a successfully served request into the bounded warm
-// set — the shared source for snapshots, membership handoff, and replica
-// pushes, so it records regardless of SnapshotPath. Pinned and degraded
-// decisions are excluded — only plans worth having again travel.
-func (n *Node) noteServed(key string, req serve.Request, resp *serve.Response) {
+// noteServed records the key of a successfully served request into the
+// bounded warm set — the shared source for snapshots and membership
+// handoff, so it records regardless of SnapshotPath. Pinned and degraded
+// decisions are excluded — only plans worth having again travel. A key is
+// the whole request, so recording it builds nothing.
+func (n *Node) noteServed(key string, resp *serve.Response) {
 	if resp == nil || resp.Decision == nil || resp.Pinned || resp.Decision.Degraded {
-		return
-	}
-	// A key fingerprints its whole spec, so a recorded key needs no
-	// rebuild; skipping it keeps cache hits from re-rendering the SQL.
-	n.warmMu.Lock()
-	_, seen := n.warmSet[key]
-	full := len(n.warmSet) >= n.cfg.SnapshotLimit
-	n.warmMu.Unlock()
-	if seen || full {
-		return
-	}
-	e, err := newWarmSpec(key, req)
-	if err != nil {
 		return
 	}
 	n.warmMu.Lock()
 	defer n.warmMu.Unlock()
-	if _, ok := n.warmSet[key]; !ok && len(n.warmSet) >= n.cfg.SnapshotLimit {
-		return
+	if len(n.warmSet) < n.cfg.SnapshotLimit {
+		n.warmSet[key] = struct{}{}
 	}
-	n.warmSet[key] = e
 }
 
-// WarmSetSize reports how many request specs are recorded for snapshotting.
+// WarmSetSize reports how many request keys are recorded for snapshotting.
 func (n *Node) WarmSetSize() int {
 	n.warmMu.Lock()
 	defer n.warmMu.Unlock()
@@ -167,27 +102,19 @@ func (n *Node) saveSnapshot() error {
 	for k := range n.warmSet {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	entries := make([]WarmSpec, 0, len(keys))
-	for _, k := range keys {
-		entries = append(entries, n.warmSet[k])
-	}
 	n.warmMu.Unlock()
+	sort.Strings(keys)
 
 	v := n.view()
-	f := snapshotFile{
+	data := marshal(&snapshotMsg{
 		Version:     snapshotVersion,
 		Fingerprint: n.catalogFingerprint(),
 		Generation:  n.svc.Generation(),
 		Epoch:       v.epoch,
 		Peers:       v.peers,
 		SavedBy:     n.cfg.Self,
-		Entries:     entries,
-	}
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
+		Keys:        keys,
+	})
 	tmp := n.cfg.SnapshotPath + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
@@ -196,11 +123,12 @@ func (n *Node) saveSnapshot() error {
 }
 
 // LoadSnapshot warm-starts the plan cache from SnapshotPath, replaying each
-// recorded request through the local optimizer. Every failure mode — no
-// file, unreadable file, corrupt JSON, version or catalog-fingerprint
-// mismatch, injected fault — is a counted cold start, never a boot failure:
-// the returned error is diagnostic. Replay runs sequentially under
-// ReplayTimeout per entry; individual entry failures are skipped.
+// recorded request key through the local optimizer. Every failure mode —
+// no file, unreadable file, corrupt body, another snapshot version (a
+// version-1 JSON file among them: ErrSnapshotVersion), catalog-fingerprint
+// mismatch, injected fault — is a counted cold start, never a boot
+// failure: the returned error is diagnostic. Replay runs sequentially
+// under ReplayTimeout per entry; individual entry failures are skipped.
 func (n *Node) LoadSnapshot(ctx context.Context) (replayed int, err error) {
 	if n.cfg.SnapshotPath == "" {
 		return 0, nil
@@ -225,30 +153,10 @@ func (n *Node) LoadSnapshot(ctx context.Context) (replayed int, err error) {
 	if f.Epoch > 0 && len(f.Peers) > 0 {
 		n.adoptView(f.Epoch, f.Peers)
 	}
-	for _, e := range f.Entries {
-		req, err := e.toServe()
-		if err != nil {
-			n.cfg.Logf("fleet: snapshot entry %q skipped: %v", e.SQL, err)
+	for _, key := range f.Keys {
+		if _, err := n.replay(ctx, key, "snapshot entry"); err != nil {
 			continue
 		}
-		rctx := ctx
-		var cancel context.CancelFunc = func() {}
-		if n.cfg.ReplayTimeout > 0 {
-			rctx, cancel = context.WithTimeout(ctx, n.cfg.ReplayTimeout)
-		}
-		bound, key, berr := n.svc.Canonicalize(req)
-		if berr != nil {
-			cancel()
-			n.cfg.Logf("fleet: snapshot entry %q no longer binds: %v", e.SQL, berr)
-			continue
-		}
-		resp, oerr := n.svc.Optimize(rctx, bound)
-		cancel()
-		if oerr != nil {
-			n.cfg.Logf("fleet: snapshot entry %q replay failed: %v", e.SQL, oerr)
-			continue
-		}
-		n.noteServed(key, bound, resp)
 		replayed++
 		n.c.snapshotReplayed.Add(1)
 		if n.m != nil {
@@ -258,9 +166,38 @@ func (n *Node) LoadSnapshot(ctx context.Context) (replayed int, err error) {
 	return replayed, nil
 }
 
+// replay serves one received request key — a snapshot entry or a handoff
+// entry, named by what in its log lines — through the local optimizer
+// under ReplayTimeout: decode it, rebind it against the live catalog, run
+// it, and record it in the warm set.
+func (n *Node) replay(ctx context.Context, key, what string) (*serve.Response, error) {
+	req, err := serve.DecodeKey(key)
+	if err != nil {
+		n.cfg.Logf("fleet: %s skipped: %v", what, err)
+		return nil, err
+	}
+	bound, key, err := n.svc.Canonicalize(req)
+	if err != nil {
+		n.cfg.Logf("fleet: %s %q no longer binds: %v", what, req.SQL, err)
+		return nil, err
+	}
+	if n.cfg.ReplayTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, n.cfg.ReplayTimeout)
+		defer cancel()
+	}
+	resp, err := n.svc.Optimize(ctx, bound)
+	if err != nil {
+		n.cfg.Logf("fleet: %s %q replay failed: %v", what, req.SQL, err)
+		return nil, err
+	}
+	n.noteServed(key, resp)
+	return resp, nil
+}
+
 // readSnapshot loads and validates the snapshot file. (nil, nil) means no
 // file exists.
-func (n *Node) readSnapshot() (*snapshotFile, error) {
+func (n *Node) readSnapshot() (*snapshotMsg, error) {
 	switch faultinject.Check(faultinject.FleetSnapshot) {
 	case faultinject.KindDrop:
 		return nil, fmt.Errorf("fleet: snapshot load dropped (injected)")
@@ -272,12 +209,14 @@ func (n *Node) readSnapshot() (*snapshotFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: snapshot unreadable: %w", err)
 	}
-	var f snapshotFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("fleet: snapshot corrupt: %w", err)
+	var f snapshotMsg
+	err = unmarshal(data, &f)
+	if errors.Is(err, wire.ErrTag) {
+		// Not this codec's snapshot message at all: version 1 was JSON.
+		err = ErrSnapshotVersion
 	}
-	if f.Version != snapshotVersion {
-		return nil, fmt.Errorf("fleet: snapshot version %d, want %d", f.Version, snapshotVersion)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: snapshot unusable: %w", err)
 	}
 	if fp := n.catalogFingerprint(); f.Fingerprint != fp {
 		return nil, fmt.Errorf("fleet: snapshot catalog fingerprint %s does not match live catalog %s", f.Fingerprint, fp)

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,24 +68,37 @@ func TestWarmStartFirstRequestIsCacheHit(t *testing.T) {
 	}
 }
 
-// TestCorruptSnapshotColdStarts writes garbage where the snapshot should
-// be: boot must degrade to a counted cold start and serve normally after.
+// TestCorruptSnapshotColdStarts writes garbage, a version-1 JSON snapshot
+// and a truncated one where the snapshot should be: boot must degrade to
+// a counted cold start and serve normally after. The JSON file is refused
+// as another version, not parsed.
 func TestCorruptSnapshotColdStarts(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snap.json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	n := soloNode(t, path)
-	replayed, err := n.LoadSnapshot(context.Background())
-	if err == nil || replayed != 0 {
-		t.Fatalf("corrupt snapshot loaded: replayed=%d err=%v", replayed, err)
-	}
-	if got := n.c.snapshotLoadFailures.Load(); got != 1 {
-		t.Errorf("snapshotLoadFailures = %d, want 1", got)
-	}
-	rep, oerr := n.Optimize(context.Background(), exampleRequest())
-	if oerr != nil || rep.Local == nil {
-		t.Fatalf("cold-started node cannot serve: %v", oerr)
+	valid := marshal(&snapshotMsg{Version: snapshotVersion, Keys: []string{"k"}})
+	for name, data := range map[string][]byte{
+		"garbage": []byte("{not json"),
+		"version 1 JSON": []byte(`{"version": 1, "fingerprint": "00", "generation": 3, ` +
+			`"entries": [{"sql": "SELECT * FROM A, B WHERE A.k = B.k ORDER BY A.k", "strategy": 3}]}`),
+		"truncated": valid[:len(valid)-1],
+	} {
+		path := filepath.Join(t.TempDir(), "snap.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		n := soloNode(t, path)
+		replayed, err := n.LoadSnapshot(context.Background())
+		if err == nil || replayed != 0 {
+			t.Fatalf("%s: corrupt snapshot loaded: replayed=%d err=%v", name, replayed, err)
+		}
+		if name == "version 1 JSON" && !errors.Is(err, ErrSnapshotVersion) {
+			t.Errorf("%s: err = %v, want ErrSnapshotVersion", name, err)
+		}
+		if got := n.c.snapshotLoadFailures.Load(); got != 1 {
+			t.Errorf("%s: snapshotLoadFailures = %d, want 1", name, got)
+		}
+		rep, oerr := n.Optimize(context.Background(), exampleRequest())
+		if oerr != nil || rep.Local == nil {
+			t.Fatalf("%s: cold-started node cannot serve: %v", name, oerr)
+		}
 	}
 }
 

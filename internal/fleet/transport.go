@@ -36,19 +36,19 @@ type Transport interface {
 	// Membership exchanges epoch-numbered peer-list views with peer: the
 	// peer adopts msg when newer and replies with its own view.
 	Membership(ctx context.Context, peer string, msg *MembershipMsg) (*MembershipMsg, error)
-	// Handoff delivers a batch of warm request specs for peer to replay
+	// Handoff delivers a batch of warm request keys for peer to replay
 	// through its own optimizer, returning how many entries it accepted.
 	Handoff(ctx context.Context, peer string, req *HandoffRequest) (accepted int, err error)
 }
 
-// HandoffRequest is one warm-handoff batch on the wire: request specs —
-// never plans — that the receiver replays through its own optimizer. It
-// carries both rebalance transfers (membership changes) and asynchronous
-// replica pushes.
+// HandoffRequest is one warm-handoff batch on the wire: request keys —
+// never plans — that the receiver decodes and replays through its own
+// optimizer. It carries both rebalance transfers (membership changes) and
+// asynchronous replica pushes.
 type HandoffRequest struct {
-	From    string
-	Epoch   uint64
-	Entries []WarmSpec
+	From  string
+	Epoch uint64
+	Keys  []string
 }
 
 // HandoffReply acknowledges a handoff batch.
@@ -56,14 +56,14 @@ type HandoffReply struct {
 	Accepted int
 }
 
-// LookupRequest is one peer plan lookup on the wire. It carries the full
-// canonical request, not just the key: the owner answers from its cache
-// when it can and runs (single-flighted) the optimization when it cannot,
-// which is what keeps a fleet-wide stampede at exactly one engine run.
+// LookupRequest is one peer plan lookup on the wire. Its key is the whole
+// request, not a digest of it: the owner answers from its cache when it
+// can and runs (single-flighted) the optimization when it cannot, which is
+// what keeps a fleet-wide stampede at exactly one engine run.
 type LookupRequest struct {
-	// Spec is the request itself, which the owner rebinds and re-keys
-	// against its own catalog.
-	Spec WarmSpec
+	// Key is the request key (serve.Service.Canonicalize), which the owner
+	// decodes, rebinds and re-keys against its own catalog.
+	Key string
 	// Generation is the requester's catalog generation; a responder that
 	// is behind adopts it before answering.
 	Generation uint64
@@ -141,58 +141,6 @@ func ToWire(r *serve.Response) WireResponse {
 		}
 	}
 	return out
-}
-
-// newWarmSpec flattens one canonicalized serve request. The request must
-// carry a bound Query and key must be the request key
-// Service.Canonicalize returned with it.
-func newWarmSpec(key string, req serve.Request) (WarmSpec, error) {
-	if req.Query == nil {
-		return WarmSpec{}, fmt.Errorf("fleet: request not canonicalized")
-	}
-	out := WarmSpec{
-		SQL:      canonicalSQL(key, req),
-		Strategy: int(req.Strategy),
-	}
-	if len(req.Query.Joins) > 0 {
-		out.JoinSels = make([]float64, len(req.Query.Joins))
-		for i, j := range req.Query.Joins {
-			out.JoinSels[i] = j.Selectivity
-		}
-	}
-	if len(req.Query.Selections) > 0 {
-		out.SelSels = make([]float64, len(req.Query.Selections))
-		for i, sel := range req.Query.Selections {
-			out.SelSels[i] = sel.Selectivity
-		}
-	}
-	if m := req.Env.Memory; m != nil {
-		out.MemVals = m.Support()
-		out.MemProbs = m.Probs()
-	}
-	if c := req.Env.Chain; c != nil {
-		out.ChainStates = c.States()
-		out.ChainRows = make([][]float64, c.NumStates())
-		for i := 0; i < c.NumStates(); i++ {
-			out.ChainRows[i] = c.TransitionRow(i)
-		}
-	}
-	return out, nil
-}
-
-// canonicalSQL returns the canonical rendering of req.Query. A request key
-// is "<strategy>|<fingerprint>|<canonical SQL>", so the text Canonicalize
-// rendered once travels in the key and is not rendered again; a key of
-// another shape falls back to rendering the query.
-func canonicalSQL(key string, req serve.Request) string {
-	for i, bars := 0, 0; i < len(key); i++ {
-		if key[i] == '|' {
-			if bars++; bars == 2 {
-				return key[i+1:]
-			}
-		}
-	}
-	return req.Query.String()
 }
 
 // Loopback is the in-process transport for tests and single-binary

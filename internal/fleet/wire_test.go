@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/serve"
 	"repro/internal/stats"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -22,18 +23,14 @@ var (
 	nanBits   = math.Float64frombits(0x7ff8_0000_dead_beef)
 )
 
-// wireSamples returns one populated value of every peer message, built
-// where possible from real requests and responses: the round-trip test's
-// inputs and the fuzz target's seeds.
+// wireSamples returns one populated value of every peer message and the
+// snapshot, built where possible from real requests and responses: the
+// round-trip test's inputs and the fuzz target's seeds.
 func wireSamples(t testing.TB) []any {
 	t.Helper()
 	cat, _, _ := workload.Example11()
 	svc := serve.New(cat, serve.Config{})
 	bound, key := chainedExample(t, svc)
-	spec, err := newWarmSpec(key, bound)
-	if err != nil {
-		t.Fatal(err)
-	}
 	resp, err := svc.Optimize(context.Background(), bound)
 	if err != nil {
 		t.Fatal(err)
@@ -42,26 +39,20 @@ func wireSamples(t testing.TB) []any {
 	reply.Resp.Decision.TierGap = subnormal
 	reply.Resp.Decision.StdDev = negZero
 	reply.Resp.Decision.P95 = nanBits
-	awkward := WarmSpec{
-		SQL:      "SELECT *\x00",
-		Strategy: -1,
-		JoinSels: []float64{negZero, subnormal, nanBits, 0.1, math.Inf(-1)},
-		SelSels:  []float64{},
-		MemVals:  []float64{math.SmallestNonzeroFloat64, math.MaxFloat64},
-	}
 	return []any{
-		&LookupRequest{Spec: spec, Generation: 1 << 40, Epoch: 2, From: "n1", Hedge: true},
+		&LookupRequest{Key: key, Generation: 1 << 40, Epoch: 2, From: "n1", Hedge: true},
 		reply,
 		&propagateMsg{Generation: 300},
 		&MembershipMsg{Epoch: 9, Peers: []string{"127.0.0.1:7081", "", "nœud"}, From: "127.0.0.1:7081"},
-		&HandoffRequest{From: "n3", Epoch: 4, Entries: []WarmSpec{spec, awkward, {}}},
+		&HandoffRequest{From: "n3", Epoch: 4, Keys: []string{key, "SELECT *\x00", ""}},
 		&HandoffReply{Accepted: 2},
+		&snapshotMsg{Version: snapshotVersion, Fingerprint: "00ff", Generation: 7, Epoch: 1, Peers: []string{"n1", "n2"}, SavedBy: "n1", Keys: []string{"", key}},
 	}
 }
 
 // newWireMsgs returns one zero value of every peer message type.
 func newWireMsgs() []any {
-	return []any{new(LookupRequest), new(LookupReply), new(propagateMsg), new(MembershipMsg), new(HandoffRequest), new(HandoffReply)}
+	return []any{new(LookupRequest), new(LookupReply), new(propagateMsg), new(MembershipMsg), new(HandoffRequest), new(HandoffReply), new(snapshotMsg)}
 }
 
 // sameBits compares two values field by field, floats by their bits. A
@@ -123,17 +114,17 @@ func TestWireRoundTripsEveryMessage(t *testing.T) {
 // alike, and both decode as nil, which every receiver already treats as
 // "absent".
 func TestWireEmptyListDecodesNil(t *testing.T) {
-	empty := &LookupRequest{Spec: WarmSpec{JoinSels: []float64{}, ChainRows: [][]float64{}}}
-	none := &LookupRequest{}
+	empty := &HandoffRequest{Keys: []string{}}
+	none := &HandoffRequest{}
 	if !bytes.Equal(marshal(empty), marshal(none)) {
 		t.Fatal("an empty list and a nil list encode differently")
 	}
-	var got LookupRequest
+	var got HandoffRequest
 	if err := unmarshal(marshal(empty), &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Spec.JoinSels != nil || got.Spec.ChainRows != nil {
-		t.Errorf("empty lists decoded as %#v / %#v, want nil", got.Spec.JoinSels, got.Spec.ChainRows)
+	if got.Keys != nil {
+		t.Errorf("empty list decoded as %#v, want nil", got.Keys)
 	}
 }
 
@@ -162,12 +153,12 @@ func TestWireChainRoundTripsToServe(t *testing.T) {
 	if err := unmarshal(marshal(lr), &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Spec.ChainStates == nil || len(got.Spec.ChainRows) != 2 {
-		t.Fatalf("chain lost on the wire: %+v", got.Spec)
-	}
-	sreq, err := got.Spec.toServe()
+	sreq, err := serve.DecodeKey(got.Key)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if sreq.Env.Chain == nil || sreq.Env.Chain.NumStates() != 2 {
+		t.Fatalf("chain lost on the wire: %+v", sreq.Env)
 	}
 	cat, _, _ := workload.Example11()
 	svc := serve.New(cat, serve.Config{})
@@ -182,7 +173,8 @@ func TestWireChainRoundTripsToServe(t *testing.T) {
 }
 
 // TestWireRejectsHostileLengths: a count or length larger than the body
-// is rejected before anything is allocated for it.
+// is rejected before anything is allocated for it. The request key's own
+// lists are FuzzSpec's seeds (serve).
 func TestWireRejectsHostileLengths(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<62)
 	pad := make([]byte, 64)
@@ -192,18 +184,18 @@ func TestWireRejectsHostileLengths(t *testing.T) {
 		data []byte
 		msg  any
 	}{
-		// SQL "", strategy 0, then a 2^62-element JoinSels.
-		{"float list of 2^62", cat([]byte{tagLookupRequest, 0, 0}, huge, pad), new(LookupRequest)},
+		{"key of 2^62", cat([]byte{tagLookupRequest}, huge, pad), new(LookupRequest)},
 		{"string past the end", cat([]byte{tagLookupRequest}, binary.AppendUvarint(nil, 1000), []byte("abc")), new(LookupRequest)},
 		{"peer list of 2^62", cat([]byte{tagMembership, 1}, huge, pad), new(MembershipMsg)},
 		{"handoff entries of 2^62", cat([]byte{tagHandoffRequest, 0, 1}, huge, pad), new(HandoffRequest)},
-		{"chain rows of 2^62", cat([]byte{tagLookupRequest, 0, 0, 0, 0, 0, 0, 0}, huge, pad), new(LookupRequest)},
 		{"plan past the end", cat([]byte{tagLookupReply, 0, 0, 0, 0, 0}, make([]byte, 24), []byte{0, 0, 0, 0, 0}, make([]byte, 8), huge), new(LookupReply)},
+		// version, fingerprint, generation, epoch, peers, saved-by, then keys.
+		{"snapshot keys of 2^62", cat([]byte{tagSnapshot, snapshotVersion, 0, 0, 0, 0, 0}, huge, pad), new(snapshotMsg)},
 	} {
 		var err error
 		allocs := testing.AllocsPerRun(20, func() { err = unmarshal(tc.data, tc.msg) })
-		if err != errWireLength {
-			t.Errorf("%s: err = %v, want %v", tc.name, err, errWireLength)
+		if err != wire.ErrLength {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, wire.ErrLength)
 		}
 		if allocs != 0 {
 			t.Errorf("%s: rejecting allocated %v times, want 0", tc.name, allocs)
@@ -215,22 +207,25 @@ func TestWireRejectsHostileLengths(t *testing.T) {
 // re-encode property.
 func TestWireRejectsMalformed(t *testing.T) {
 	good := marshal(&MembershipMsg{Epoch: 1, Peers: []string{"a"}, From: "a"})
+	empty := marshal(&LookupRequest{})
+	lookupUpToHedge := empty[:len(empty)-1] // Hedge is the last field
 	for _, tc := range []struct {
 		name string
 		data []byte
 		msg  any
 		want error
 	}{
-		{"empty body", nil, new(MembershipMsg), errWireShort},
-		{"unknown tag", []byte{0xee, 0}, new(MembershipMsg), errWireTag},
-		{"another message's tag", good, new(LookupRequest), errWireTag},
-		{"JSON body", []byte(`{"epoch":1}`), new(MembershipMsg), errWireTag},
-		{"trailing byte", append(append([]byte{}, good...), 0), new(MembershipMsg), errWireTrailing},
-		{"truncated", good[:len(good)-1], new(MembershipMsg), errWireLength},
-		{"non-minimal uvarint", []byte{tagPropagate, 0x81, 0x00}, new(propagateMsg), errWireVarint},
-		{"overlong uvarint", append([]byte{tagPropagate}, bytes.Repeat([]byte{0xff}, 11)...), new(propagateMsg), errWireVarint},
-		{"bool of 2", append(marshal(&LookupRequest{})[:12], 2), new(LookupRequest), errWireBool},
-		{"float cut short", []byte{tagLookupReply, 0, 0, 0, 0, 0, 1, 2}, new(LookupReply), errWireShort},
+		{"empty body", nil, new(MembershipMsg), wire.ErrShort},
+		{"unknown tag", []byte{0xee, 0}, new(MembershipMsg), wire.ErrTag},
+		{"another message's tag", good, new(LookupRequest), wire.ErrTag},
+		{"JSON body", []byte(`{"epoch":1}`), new(MembershipMsg), wire.ErrTag},
+		{"trailing byte", append(append([]byte{}, good...), 0), new(MembershipMsg), wire.ErrTrailing},
+		{"truncated", good[:len(good)-1], new(MembershipMsg), wire.ErrLength},
+		{"non-minimal uvarint", []byte{tagPropagate, 0x81, 0x00}, new(propagateMsg), wire.ErrVarint},
+		{"overlong uvarint", append([]byte{tagPropagate}, bytes.Repeat([]byte{0xff}, 11)...), new(propagateMsg), wire.ErrVarint},
+		{"bool of 2", append(lookupUpToHedge, 2), new(LookupRequest), wire.ErrBool},
+		{"float cut short", []byte{tagLookupReply, 0, 0, 0, 0, 0, 1, 2}, new(LookupReply), wire.ErrShort},
+		{"snapshot version 1", []byte{tagSnapshot, 1}, new(snapshotMsg), ErrSnapshotVersion},
 	} {
 		if err := unmarshal(tc.data, tc.msg); err != tc.want {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
@@ -257,8 +252,8 @@ func FuzzPeerWire(f *testing.F) {
 		}
 		// Decoding is deterministic, so the least of three measurements
 		// leaves out what the fuzzing process's other goroutines allocate.
-		// The widest element per input byte is a [][]float64 row header:
-		// 24 bytes for a one-byte length.
+		// The widest element per input byte is a string header: 16 bytes
+		// for a one-byte length.
 		alloc := uint64(math.MaxUint64)
 		for range 3 {
 			var before, after runtime.MemStats

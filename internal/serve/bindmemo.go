@@ -1,11 +1,10 @@
 package serve
 
 import (
-	"encoding/binary"
-	"math"
 	"sync"
 
 	"repro/internal/query"
+	"repro/internal/wire"
 )
 
 // bindMemo remembers the bound form of recently seen requests, so a
@@ -98,17 +97,9 @@ func (b *bindMemo) purgeBelow(gen uint64) {
 	}
 }
 
-// appendOverrides appends the request's selectivity overrides to buf: the
-// number of join overrides and their bits, then the number of selection
-// overrides and their bits. The counts make the encoding unambiguous.
+// appendOverrides appends the request's selectivity overrides to buf as
+// two float lists, joins then selections, in the request key's encoding.
+// The counts make the encoding unambiguous.
 func appendOverrides(buf []byte, req Request) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(req.JoinSels)))
-	for _, v := range req.JoinSels {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(req.SelectionSels)))
-	for _, v := range req.SelectionSels {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return buf
+	return wire.AppendF64s(wire.AppendF64s(buf, req.JoinSels), req.SelectionSels)
 }

@@ -3,14 +3,9 @@ package serve
 import (
 	"container/list"
 	"context"
-	"math"
-	"strconv"
-	"strings"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/query"
-	"repro/lec"
 )
 
 // planCache is the sharded, single-flight plan cache. Each shard owns an
@@ -19,11 +14,12 @@ import (
 // first request registers a flight, every later identical request finds it
 // and waits.
 //
-// Keys embed the catalog generation (see Service.keys), so bumping the
-// generation makes every old entry unreachable instantly; purgeBelow then
-// reclaims their LRU space.
+// Keys embed the catalog generation (cacheKey), so bumping the generation
+// makes every old entry unreachable instantly; purgeBelow then reclaims
+// their LRU space.
 type planCache struct {
 	shards   []cacheShard
+	seed     maphash.Seed
 	capacity int // per shard; <0 disables caching (single-flight still works)
 
 	hits          atomic.Int64
@@ -44,16 +40,22 @@ type planCache struct {
 	sealed     bool
 }
 
+// cacheKey is one request at one catalog generation: the request key
+// (requestKey) and the generation it was bound under.
+type cacheKey struct {
+	gen  uint64
+	spec string
+}
+
 type cacheShard struct {
 	mu       sync.Mutex
-	entries  map[string]*list.Element
+	entries  map[cacheKey]*list.Element
 	lru      list.List // front = most recent; values are *cacheEntry
-	inflight map[string]*flight
+	inflight map[cacheKey]*flight
 }
 
 type cacheEntry struct {
-	key  string
-	gen  uint64
+	key  cacheKey
 	resp *Response
 }
 
@@ -72,28 +74,24 @@ func newPlanCache(shards, capacity int) *planCache {
 	if capacity < 0 {
 		perShard = -1
 	}
-	c := &planCache{shards: make([]cacheShard, shards), capacity: perShard}
+	c := &planCache{shards: make([]cacheShard, shards), seed: maphash.MakeSeed(), capacity: perShard}
 	c.flightCond = sync.NewCond(&c.flightMu)
 	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*list.Element)
-		c.shards[i].inflight = make(map[string]*flight)
+		c.shards[i].entries = make(map[cacheKey]*list.Element)
+		c.shards[i].inflight = make(map[cacheKey]*flight)
 	}
 	return c
 }
 
-// shard picks key's shard by its FNV-1a hash, computed in place so a
-// lookup does not copy the key.
-func (c *planCache) shard(key string) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return &c.shards[h%uint32(len(c.shards))]
+// shard picks key's shard by the request key's hash. Shard choice is local
+// to this cache, so the hash is seeded per process.
+func (c *planCache) shard(key cacheKey) *cacheShard {
+	return &c.shards[maphash.String(c.seed, key.spec)%uint64(len(c.shards))]
 }
 
 // get serves a cached response, refreshing its LRU position. The returned
 // Response is a copy flagged Cached; its Decision is shared.
-func (c *planCache) get(key string) (*Response, bool) {
+func (c *planCache) get(key cacheKey) (*Response, bool) {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -112,7 +110,7 @@ func (c *planCache) get(key string) (*Response, bool) {
 // becomes the leader and executes fn; everyone else waits for the leader's
 // result (coalesced=true) or their own context. A successful, undegraded,
 // unpinned leader response is inserted into the cache.
-func (c *planCache) do(ctx context.Context, key string, fn func() (*Response, error)) (resp *Response, coalesced bool, err error) {
+func (c *planCache) do(ctx context.Context, key cacheKey, fn func() (*Response, error)) (resp *Response, coalesced bool, err error) {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	if f, ok := sh.inflight[key]; ok {
@@ -185,13 +183,13 @@ func (c *planCache) cacheable(r *Response) bool {
 	return c.capacity > 0 && r != nil && r.Decision != nil && !r.Decision.Degraded && !r.Pinned
 }
 
-func (c *planCache) insertLocked(sh *cacheShard, key string, resp *Response) {
+func (c *planCache) insertLocked(sh *cacheShard, key cacheKey, resp *Response) {
 	if el, ok := sh.entries[key]; ok {
 		el.Value.(*cacheEntry).resp = resp
 		sh.lru.MoveToFront(el)
 		return
 	}
-	sh.entries[key] = sh.lru.PushFront(&cacheEntry{key: key, gen: genOf(key), resp: resp})
+	sh.entries[key] = sh.lru.PushFront(&cacheEntry{key: key, resp: resp})
 	for sh.lru.Len() > c.capacity {
 		oldest := sh.lru.Back()
 		sh.lru.Remove(oldest)
@@ -201,7 +199,7 @@ func (c *planCache) insertLocked(sh *cacheShard, key string, resp *Response) {
 }
 
 // purgeBelow drops every entry from a generation older than gen. Entries
-// are already unreachable (keys embed the generation); this reclaims their
+// are already unreachable (keys hold the generation); this reclaims their
 // space eagerly and counts them as invalidations.
 func (c *planCache) purgeBelow(gen uint64) {
 	for i := range c.shards {
@@ -209,7 +207,7 @@ func (c *planCache) purgeBelow(gen uint64) {
 		sh.mu.Lock()
 		for el := sh.lru.Front(); el != nil; {
 			next := el.Next()
-			if e := el.Value.(*cacheEntry); e.gen < gen {
+			if e := el.Value.(*cacheEntry); e.key.gen < gen {
 				sh.lru.Remove(el)
 				delete(sh.entries, e.key)
 				c.invalidations.Add(1)
@@ -223,81 +221,4 @@ func (c *planCache) purgeBelow(gen uint64) {
 func (c *planCache) counters() (hits, misses, coalesced, evictions, invalidations int64) {
 	return c.hits.Load(), c.misses.Load(), c.coalesced.Load(),
 		c.evictions.Load(), c.invalidations.Load()
-}
-
-// genOf parses the generation prefix Service.keys wrote ("g<gen>|...").
-func genOf(key string) uint64 {
-	var g uint64
-	for i := 1; i < len(key) && key[i] != '|'; i++ {
-		g = g*10 + uint64(key[i]-'0')
-	}
-	return g
-}
-
-// requestKey canonicalizes one (query, strategy, environment) triple as
-// "<strategy>|<fingerprint>|<canonical SQL>". canon is q's canonical
-// pseudo-SQL rendering (q.String()), so textual variants that bind to the
-// same block share a key; the FNV-64a fingerprint covers what the rendering
-// cannot express — the environment's exact support, probabilities, and
-// Markov transition rows, plus the bound query's numeric join/selection
-// selectivities (two queries with the same text but different explicit
-// selectivities are different queries and must not share a cache entry).
-func requestKey(q *query.SPJ, canon string, s lec.Strategy, env lec.Environment) string {
-	h := fnv64{offset64}
-	if env.Memory != nil {
-		for i := 0; i < env.Memory.Len(); i++ {
-			h.float(env.Memory.Value(i))
-			h.float(env.Memory.Prob(i))
-		}
-	}
-	if env.Chain != nil {
-		h.byte(0xff) // separate "has chain" from "no chain"
-		for _, v := range env.Chain.States() {
-			h.float(v)
-		}
-		for i := 0; i < env.Chain.NumStates(); i++ {
-			for _, p := range env.Chain.TransitionRow(i) {
-				h.float(p)
-			}
-		}
-	}
-	h.byte(0xfe) // separate the environment from the selectivities
-	for _, j := range q.Joins {
-		h.float(j.Selectivity)
-	}
-	for _, sel := range q.Selections {
-		h.float(sel.Selectivity)
-	}
-	var num [20]byte
-	var hex [16]byte
-	for i, sum := len(hex)-1, h.sum; i >= 0; i, sum = i-1, sum>>4 {
-		hex[i] = "0123456789abcdef"[sum&0xf]
-	}
-	var b strings.Builder
-	b.Grow(len(num) + len(hex) + 2 + len(canon))
-	b.Write(strconv.AppendInt(num[:0], int64(s), 10))
-	b.WriteByte('|')
-	b.Write(hex[:])
-	b.WriteByte('|')
-	b.WriteString(canon)
-	return b.String()
-}
-
-// fnv64 is FNV-64a over the request fingerprint, written out so hashing a
-// float neither allocates nor goes through an interface.
-type fnv64 struct{ sum uint64 }
-
-const (
-	offset64 = 14695981039346656037
-	prime64  = 1099511628211
-)
-
-func (h *fnv64) byte(b byte) { h.sum = (h.sum ^ uint64(b)) * prime64 }
-
-// float hashes v's IEEE-754 bits, little-endian.
-func (h *fnv64) float(v float64) {
-	bits := math.Float64bits(v)
-	for i := 0; i < 8; i++ {
-		h.byte(byte(bits >> (8 * i)))
-	}
 }

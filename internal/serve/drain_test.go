@@ -81,8 +81,7 @@ func TestBeginDrainFlushesParkedLeaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckey, _ := svc.keys(bound.Query, bound.canon, bound)
-	if _, ok := svc.cache.get(ckey); !ok {
+	if _, ok := svc.cache.get(svc.key(bound.Query, bound.canon, bound)); !ok {
 		t.Fatal("parked leader's response missing from the cache after drain")
 	}
 }
@@ -93,7 +92,7 @@ func TestBeginDrainFlushesParkedLeaders(t *testing.T) {
 func TestDrainSealsLateInserts(t *testing.T) {
 	c := newPlanCache(2, 16)
 	c.drain()
-	resp, coalesced, err := c.do(context.Background(), "g0|late", func() (*Response, error) {
+	resp, coalesced, err := c.do(context.Background(), cacheKey{spec: "late"}, func() (*Response, error) {
 		return &Response{Decision: decisionFixture(t)}, nil
 	})
 	if err != nil || coalesced {
@@ -102,7 +101,7 @@ func TestDrainSealsLateInserts(t *testing.T) {
 	if resp == nil || resp.Decision == nil {
 		t.Fatal("late leader was not served")
 	}
-	if _, ok := c.get("g0|late"); ok {
+	if _, ok := c.get(cacheKey{spec: "late"}); ok {
 		t.Fatal("late insert landed in a drained cache")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,8 +155,13 @@ func TestBreakerWithoutLastGoodFailsTyped(t *testing.T) {
 	if _, err := svc.Optimize(ctx, req); !errors.Is(err, lec.ErrInternal) {
 		t.Fatalf("tripping failure = %v, want ErrInternal", err)
 	}
-	if _, err := svc.Optimize(ctx, req); !errors.Is(err, ErrCircuitOpen) {
+	_, err := svc.Optimize(ctx, req)
+	if !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("open-state error = %v, want ErrCircuitOpen", err)
+	}
+	// The message names the configuration readably, not as key bytes.
+	if !strings.Contains(err.Error(), q.String()) || !strings.Contains(err.Error(), lec.AlgorithmC.String()) {
+		t.Errorf("open-state error %q does not name the strategy and canonical SQL %q", err, q.String())
 	}
 }
 

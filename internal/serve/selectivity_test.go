@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/workload"
 	"repro/lec"
 )
@@ -13,7 +15,8 @@ import (
 // the fleet wire format: two requests with identical SQL text but
 // different join selectivities are different queries and must not share
 // a cache key, and JoinSels must reconstruct the programmatic query from
-// its SQL rendering exactly (same key, same plan).
+// its SQL rendering exactly (same key, same plan). The same holds for
+// every bit of the environment.
 func TestRequestKeyIncludesSelectivities(t *testing.T) {
 	cat, q, dm := workload.Example11()
 	svc := New(cat, Config{Workers: 2})
@@ -63,5 +66,60 @@ func TestRequestKeyIncludesSelectivities(t *testing.T) {
 	_, _, err = svc.Canonicalize(Request{SQL: q.String(), JoinSels: []float64{0.5, 0.5}, Env: env, Strategy: lec.AlgorithmC})
 	if !errors.Is(err, lec.ErrInvalidQuery) {
 		t.Errorf("mismatched JoinSels: got %v, want ErrInvalidQuery", err)
+	}
+
+	// The key holds every number exactly: environments one bit apart get
+	// two keys, two cache entries and two engine runs, and each key
+	// decodes to a request that canonicalizes to the same bytes.
+	flip := func(f float64) float64 { return math.Float64frombits(math.Float64bits(f) ^ 1) }
+	mem := func(vals, probs []float64) lec.Environment {
+		d, err := stats.FromNormalized(vals, probs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lec.Environment{Memory: d}
+	}
+	chain := func(p01 float64) lec.Environment {
+		c, err := stats.NewChain([]float64{700, 2000}, [][]float64{{0.9, p01}, {0.25, 0.75}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lec.Environment{Memory: dm, Chain: c}
+	}
+	for name, pair := range map[string][2]lec.Environment{
+		"memory probability": {mem([]float64{700, 2000}, []float64{0.2, 0.8}), mem([]float64{700, 2000}, []float64{flip(0.2), 0.8})},
+		"memory value":       {mem([]float64{700, 2000}, []float64{0.2, 0.8}), mem([]float64{flip(700), 2000}, []float64{0.2, 0.8})},
+		"chain transition":   {chain(0.1), chain(flip(0.1))},
+	} {
+		svc := New(cat, Config{Workers: 2})
+		var keys [2]string
+		for i, e := range pair {
+			req := Request{Query: q, Env: e, Strategy: lec.AlgorithmC}
+			_, keys[i], err = svc.Canonicalize(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r, err := svc.Optimize(context.Background(), req); err != nil || r.Cached {
+				t.Fatalf("%s: environment %d: cached=%v err=%v, want a fresh engine run", name, i, r != nil && r.Cached, err)
+			}
+			back, err := DecodeKey(keys[i])
+			if err != nil {
+				t.Fatalf("%s: decoding key %d: %v", name, i, err)
+			}
+			if _, again, err := svc.Canonicalize(back); err != nil || again != keys[i] {
+				t.Errorf("%s: key %d does not survive DecodeKey and Canonicalize (err %v)", name, i, err)
+			}
+		}
+		if keys[0] == keys[1] {
+			t.Errorf("%s: environments one bit apart share a key", name)
+		}
+		for i, e := range pair {
+			if r, err := svc.Optimize(context.Background(), Request{Query: q, Env: e, Strategy: lec.AlgorithmC}); err != nil || !r.Cached {
+				t.Errorf("%s: environment %d lost its own cache entry (err %v)", name, i, err)
+			}
+		}
+		if st := svc.Stats(); st.Optimizations != 2 {
+			t.Errorf("%s: %d engine runs, want 2", name, st.Optimizations)
+		}
 	}
 }

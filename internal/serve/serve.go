@@ -5,8 +5,9 @@
 //
 // A Service composes four mechanisms, each its own file:
 //
-//   - a sharded, single-flight plan cache keyed by canonicalized query +
-//     strategy + environment fingerprint + catalog generation (cache.go);
+//   - a sharded, single-flight plan cache keyed by the exact request spec
+//     (strategy, canonical query, selectivities, environment; spec.go) and
+//     the catalog generation (cache.go);
 //     concurrent identical requests coalesce into one engine run, and a
 //     catalog/statistics update bumps the generation, atomically
 //     invalidating every cached plan;
@@ -31,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -135,10 +135,11 @@ type Request struct {
 	// query's join/selection selectivities position-for-position after
 	// SQL binding. They exist so a query built programmatically with
 	// explicit selectivities can round-trip through its canonical SQL
-	// rendering (the fleet wire format and warm snapshots) without the
-	// rebinding side silently reverting to catalog-derived estimates —
-	// which would be a different query under the same text. Ignored when
-	// Query is set; lengths must match the bound predicate lists.
+	// rendering (DecodeKey, behind the fleet's lookups, handoffs and warm
+	// snapshots) without the rebinding side silently reverting to
+	// catalog-derived estimates — which would be a different query under
+	// the same text. Ignored when Query is set; lengths must match the
+	// bound predicate lists.
 	JoinSels      []float64
 	SelectionSels []float64
 
@@ -345,12 +346,12 @@ func (s *Service) optimize(ctx context.Context, req Request) (*Response, error) 
 	if err != nil {
 		return nil, err
 	}
-	ckey, bkey := s.keys(q, canon, req)
-	if resp, ok := s.cache.get(ckey); ok {
+	key := s.key(q, canon, req)
+	if resp, ok := s.cache.get(key); ok {
 		return resp, nil
 	}
-	resp, coalesced, err := s.cache.do(ctx, ckey, func() (*Response, error) {
-		return s.optimizeLeader(ctx, q, req, bkey)
+	resp, coalesced, err := s.cache.do(ctx, key, func() (*Response, error) {
+		return s.optimizeLeader(ctx, q, canon, req, key.spec)
 	})
 	if coalesced && resp != nil {
 		// Followers share the leader's Decision but report their own path.
@@ -363,8 +364,9 @@ func (s *Service) optimize(ctx context.Context, req Request) (*Response, error) 
 
 // optimizeLeader is the single-flight winner's path: admission, breaker,
 // retry, engine run. Its Response is shared with every coalesced follower
-// and, when cacheable, stored under the request key.
-func (s *Service) optimizeLeader(ctx context.Context, q *query.SPJ, req Request, bkey string) (*Response, error) {
+// and, when cacheable, stored under the request key. The breaker is keyed
+// by the generation-free request key.
+func (s *Service) optimizeLeader(ctx context.Context, q *query.SPJ, canon string, req Request, bkey string) (*Response, error) {
 	release, rung, err := s.admit(ctx)
 	if err != nil {
 		return nil, err
@@ -379,7 +381,7 @@ func (s *Service) optimizeLeader(ctx context.Context, q *query.SPJ, req Request,
 			s.c.pinnedServes.Add(1)
 			return &Response{Decision: pinned, Pinned: true, Pressure: rung.Name}, nil
 		}
-		return nil, fmt.Errorf("%w (configuration %q)", ErrCircuitOpen, bkey)
+		return nil, fmt.Errorf("%w (strategy %s, query %q)", ErrCircuitOpen, req.Strategy, canon)
 	}
 
 	dec, err := s.runWithRetry(ctx, q, req, rung)
@@ -620,22 +622,22 @@ func (s *Service) withDefaultTimeout(ctx context.Context) (context.Context, cont
 	return context.WithTimeout(ctx, s.cfg.DefaultTimeout)
 }
 
-// keys derives the cache key (generation-scoped) and the breaker key
-// (generation-free: a breaker guards a coster configuration, which a
-// statistics refresh does not change) for one bound request. canon is q's
-// canonical rendering.
-func (s *Service) keys(q *query.SPJ, canon string, req Request) (ckey, bkey string) {
-	bkey = requestKey(q, canon, req.Strategy, req.Env)
-	ckey = "g" + strconv.FormatUint(s.gen.Load(), 10) + "|" + bkey
-	return ckey, bkey
+// key derives the cache key of one bound request: its request key, which
+// alone keys the breaker (a breaker guards a coster configuration, which a
+// statistics refresh does not change), at the current generation. canon is
+// q's canonical rendering.
+func (s *Service) key(q *query.SPJ, canon string, req Request) cacheKey {
+	spec := requestKey(q, canon, req.Strategy, req.Env)
+	return cacheKey{gen: s.gen.Load(), spec: spec}
 }
 
 // Canonicalize binds the request's query against the live catalog and
-// returns the bound request plus its generation-free request key — the
-// canonical (query, strategy, environment) identity the fleet layer hashes
-// for cache-key ownership. The returned request carries the bound Query and
-// its canonical rendering, so optimizing it later neither re-parses nor
-// re-renders the query.
+// returns the bound request plus its generation-free request key: the
+// exact spec encoding of the canonical (query, strategy, environment)
+// identity (requestKey). The fleet layer hashes it for cache-key ownership
+// and sends it as is; DecodeKey turns it back into a request. The returned
+// request carries the bound Query and its canonical rendering, so
+// optimizing it later neither re-parses nor re-renders the query.
 func (s *Service) Canonicalize(req Request) (Request, string, error) {
 	q, canon, err := s.bind(req)
 	if err != nil {
