@@ -37,9 +37,10 @@ race:
 
 # The serving layer is all shared mutable state (cache shards, admission
 # channels, breakers, catalog RWMutex); run its suite twice under the race
-# detector so single-flight and invalidation schedules get a second draw.
+# detector so single-flight (internal/flight) and invalidation schedules
+# get a second draw.
 serve-race:
-	$(GO) test -race -count=2 ./internal/serve/... ./internal/obs ./cmd/lecd/...
+	$(GO) test -race -count=2 ./internal/serve/... ./internal/flight ./internal/obs ./cmd/lecd/...
 
 # The fleet layer races hedges against lookups, generation adoptions
 # against propagation, and drain against snapshot writes; two runs under

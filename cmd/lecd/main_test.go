@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faultinject"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -147,6 +148,21 @@ func TestCompareEndpoint(t *testing.T) {
 	}
 	if len(out.Decisions) != len(lec.Strategies()) {
 		t.Errorf("decisions = %d, want %d", len(out.Decisions), len(lec.Strategies()))
+	}
+
+	// A worker panic during the comparison is an internal error, answered
+	// with a 500 on an intact connection.
+	faultinject.Enable(faultinject.New(1, faultinject.Rule{
+		Site: faultinject.ServeOptimize, Kind: faultinject.KindPanic, Every: 1,
+	}))
+	defer faultinject.Disable()
+	resp3, err := http.Post(ts.URL+"/compare", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatalf("compare with a panicking worker: %v", err)
+	}
+	resp3.Body.Close()
+	if resp3.StatusCode != http.StatusInternalServerError {
+		t.Errorf("compare with a panicking worker: status = %d, want 500", resp3.StatusCode)
 	}
 }
 

@@ -51,6 +51,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/faultinject"
+	"repro/internal/flight"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -152,7 +153,10 @@ type Node struct {
 	mview   atomic.Pointer[view] // current membership (never nil)
 	mshipMu sync.Mutex           // serializes view installs and proposals
 
-	flights group // requester-side single-flight over remote keys
+	// flights is the requester-side single-flight over remote keys:
+	// concurrent identical requests on this node share one peer lookup
+	// instead of stampeding the owner with N wire calls.
+	flights flight.Group[string, *Reply]
 
 	warmMu  sync.Mutex
 	warmSet map[string]struct{} // replayable request keys
@@ -166,6 +170,9 @@ type Node struct {
 	m *fleetMetrics // nil when Config.Metrics is nil
 }
 
+// counters are the fleet's event counts: Status reports them, and with a
+// registry each lec_fleet_*_total series reads one of them
+// (newFleetMetrics), so an event is counted in one place.
 type counters struct {
 	peerHits        atomic.Int64
 	peerMisses      atomic.Int64
@@ -234,7 +241,6 @@ func New(svc *serve.Service, cfg Config) (*Node, error) {
 		clock:     time.Now,
 	}
 	n.mview.Store(v)
-	n.flights.calls = make(map[string]*call)
 	n.m = newFleetMetrics(cfg.Metrics, n)
 	return n, nil
 }
@@ -316,9 +322,6 @@ func (n *Node) Optimize(ctx context.Context, req serve.Request) (*Reply, error) 
 		if !n.allowPeer(p) {
 			skipped++
 			n.c.healthSkips.Add(1)
-			if n.m != nil {
-				n.m.healthSkips.Inc()
-			}
 			continue
 		}
 		if selfIdx < 0 {
@@ -341,9 +344,6 @@ func (n *Node) Optimize(ctx context.Context, req serve.Request) (*Reply, error) 
 			rep.SuspectsSkipped = skipped
 		}
 		n.c.peerMisses.Add(1)
-		if n.m != nil {
-			n.m.peerMisses.Inc()
-		}
 		return rep, err
 	default:
 		return n.remotePath(ctx, bound, key, pre, skipped)
@@ -398,7 +398,7 @@ func (n *Node) ownerPath(ctx context.Context, req serve.Request, key string, res
 // drowning.
 func (n *Node) remotePath(ctx context.Context, req serve.Request, key string, cands []candidate, skipped int) (*Reply, error) {
 	immediate := n.cfg.HedgeQueueDepth > 0 && n.peerQueueDepth(cands[0].peer) >= n.cfg.HedgeQueueDepth
-	r, coalesced, err := n.flights.do(ctx, key, func() (*Reply, error) {
+	r, coalesced, err := n.flights.Do(ctx, key, func() (*Reply, error) {
 		rep, rerr := n.race(ctx, req, key, false, cands, immediate)
 		if rep != nil {
 			// Recorded before the single-flight publishes the reply:
@@ -463,9 +463,6 @@ func (n *Node) race(ctx context.Context, req serve.Request, key string, localPri
 		hedgeable = false
 		hedgeC = nil
 		n.c.hedges.Add(1)
-		if n.m != nil {
-			n.m.hedges.Inc()
-		}
 		if next < len(cands) {
 			launch(cands[next], true)
 			next++
@@ -499,9 +496,6 @@ func (n *Node) race(ctx context.Context, req serve.Request, key string, localPri
 			// than this node's own fallback.
 			if b.local == nil && next < len(cands) && cands[next].replica {
 				n.c.failovers.Add(1)
-				if n.m != nil {
-					n.m.failovers.Inc()
-				}
 				launch(cands[next], false)
 				next++
 			}
@@ -526,9 +520,6 @@ func (n *Node) winner(b branchOut, key string, hedged bool) *Reply {
 	r := &Reply{Hedged: hedged, HedgeWon: b.hedge}
 	if b.hedge {
 		n.c.hedgeWins.Add(1)
-		if n.m != nil {
-			n.m.hedgeWins.Inc()
-		}
 	}
 	if b.local != nil {
 		r.Local = b.local
@@ -540,9 +531,6 @@ func (n *Node) winner(b branchOut, key string, hedged bool) *Reply {
 	r.PeerNode = b.node
 	r.PeerHit = true
 	n.c.peerHits.Add(1)
-	if n.m != nil {
-		n.m.peerHits.Inc()
-	}
 	return r
 }
 
@@ -551,9 +539,6 @@ func (n *Node) winner(b branchOut, key string, hedged bool) *Reply {
 // fails because a peer failed.
 func (n *Node) fallback(ctx context.Context, req serve.Request, key string, hedged bool, cause error) (*Reply, error) {
 	n.c.peerMisses.Add(1)
-	if n.m != nil {
-		n.m.peerMisses.Inc()
-	}
 	n.cfg.Logf("fleet: peer path for key failed (%v); falling back to local run", cause)
 	resp, err := n.svc.Optimize(ctx, req)
 	if err != nil {
@@ -580,9 +565,6 @@ func (n *Node) lookupBranch(ctx context.Context, peer, key string, hedge bool, o
 	defer func() {
 		if p := recover(); p != nil {
 			n.c.drops.Add(1)
-			if n.m != nil {
-				n.m.drops.Inc()
-			}
 			n.notePeerDown(peer, fmt.Sprintf("panic: %v", p))
 			out <- branchOut{hedge: hedge, node: peer, err: fmt.Errorf("%w: %s panicked: %v", ErrPeerUnreachable, peer, p)}
 		}
@@ -601,9 +583,6 @@ func (n *Node) lookupBranch(ctx context.Context, peer, key string, hedge bool, o
 func (n *Node) lookup(ctx context.Context, peer, key string, hedge bool) (*LookupReply, error) {
 	if faultinject.Check(faultinject.FleetPeerLookup) == faultinject.KindDrop {
 		n.c.drops.Add(1)
-		if n.m != nil {
-			n.m.drops.Inc()
-		}
 		n.notePeerDown(peer, "injected partition")
 		return nil, fmt.Errorf("%w: %s (injected partition)", ErrPeerUnreachable, peer)
 	}
@@ -619,9 +598,6 @@ func (n *Node) lookup(ctx context.Context, peer, key string, hedge bool) (*Looku
 	rep, err := n.cfg.Transport.Lookup(lctx, peer, wreq)
 	if err != nil {
 		n.c.drops.Add(1)
-		if n.m != nil {
-			n.m.drops.Inc()
-		}
 		n.notePeerDown(peer, err.Error())
 		return nil, fmt.Errorf("%w: %s: %v", ErrPeerUnreachable, peer, err)
 	}
@@ -631,9 +607,6 @@ func (n *Node) lookup(ctx context.Context, peer, key string, hedge bool) (*Looku
 	gen := n.svc.Generation()
 	if rep.Generation < gen {
 		n.c.staleRejected.Add(1)
-		if n.m != nil {
-			n.m.staleRejected.Inc()
-		}
 		// A stale answer is a cache-coherence event, not a peer-health
 		// one: it is recorded but does not feed the failure detector.
 		n.notePeerIssue(peer, fmt.Sprintf("stale generation %d < %d", rep.Generation, gen))
@@ -709,9 +682,6 @@ func (n *Node) maybeReplicate(key string, resp *serve.Response) {
 			continue
 		}
 		n.c.replicaPushes.Add(1)
-		if n.m != nil {
-			n.m.replicaPushes.Inc()
-		}
 		go n.sendWarm(p, []string{key})
 	}
 }
@@ -729,9 +699,6 @@ func (n *Node) HandlePropagate(gen uint64) uint64 {
 func (n *Node) adopt(gen uint64) {
 	if n.svc.AdoptGeneration(gen) {
 		n.c.adoptions.Add(1)
-		if n.m != nil {
-			n.m.adoptions.Inc()
-		}
 	}
 }
 
@@ -777,19 +744,12 @@ func (n *Node) propagateTo(peer string, gen uint64) {
 	defer func() {
 		if p := recover(); p != nil {
 			n.c.propagateFailed.Add(1)
-			if n.m != nil {
-				n.m.propagateFailed.Inc()
-			}
 			n.notePeerDown(peer, fmt.Sprintf("propagate panic: %v", p))
 		}
 	}()
 	if faultinject.Check(faultinject.FleetPropagate) == faultinject.KindDrop {
 		n.c.drops.Add(1)
 		n.c.propagateFailed.Add(1)
-		if n.m != nil {
-			n.m.drops.Inc()
-			n.m.propagateFailed.Inc()
-		}
 		n.notePeerDown(peer, "propagate dropped (injected partition)")
 		n.cfg.Logf("fleet: generation %d propagation to %s dropped", gen, peer)
 		return
@@ -800,16 +760,12 @@ func (n *Node) propagateTo(peer string, gen uint64) {
 	peerGen, err := n.cfg.Transport.Propagate(ctx, peer, gen)
 	if err != nil {
 		n.c.propagateFailed.Add(1)
-		if n.m != nil {
-			n.m.propagateFailed.Inc()
-		}
 		n.notePeerDown(peer, err.Error())
 		n.cfg.Logf("fleet: generation %d propagation to %s failed: %v", gen, peer, err)
 		return
 	}
 	n.c.propagateSent.Add(1)
 	if n.m != nil {
-		n.m.propagateSent.Inc()
 		n.m.propagateSeconds.Observe(time.Since(t0).Seconds())
 	}
 	n.notePeerOK(peer)
@@ -841,9 +797,6 @@ func (n *Node) notePeerDown(peer, msg string) {
 	n.peerMu.Unlock()
 	if tripped {
 		n.c.healthTrips.Add(1)
-		if n.m != nil {
-			n.m.healthTrips.Inc()
-		}
 		n.cfg.Logf("fleet: peer %s suspected: %s", peer, msg)
 	}
 }
@@ -886,9 +839,6 @@ func (n *Node) allowPeer(peer string) bool {
 	n.peerMu.Unlock()
 	if probe {
 		n.c.healthProbes.Add(1)
-		if n.m != nil {
-			n.m.healthProbes.Inc()
-		}
 	}
 	return ok
 }
@@ -901,42 +851,4 @@ func (n *Node) peerQueueDepth(peer string) int {
 		return st.queueDepth
 	}
 	return 0
-}
-
-// group is the requester-side single-flight over remote keys: concurrent
-// identical requests on this node share one peer lookup instead of
-// stampeding the owner with N wire calls.
-type group struct {
-	mu    sync.Mutex
-	calls map[string]*call
-}
-
-type call struct {
-	done  chan struct{}
-	reply *Reply
-	err   error
-}
-
-func (g *group) do(ctx context.Context, key string, fn func() (*Reply, error)) (r *Reply, coalesced bool, err error) {
-	g.mu.Lock()
-	if c, ok := g.calls[key]; ok {
-		g.mu.Unlock()
-		select {
-		case <-c.done:
-			return c.reply, true, c.err
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
-		}
-	}
-	c := &call{done: make(chan struct{})}
-	g.calls[key] = c
-	g.mu.Unlock()
-
-	c.reply, c.err = fn()
-
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
-	return c.reply, false, c.err
 }

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/workload"
@@ -245,4 +249,143 @@ func TestFleetMetricsFreeWhenDisabled(t *testing.T) {
 	if got := snap2.Gauges["lec_fleet_peers"]; got != 1 {
 		t.Errorf("lec_fleet_peers = %v, want 1", got)
 	}
+}
+
+// TestFleetCountersMatchStatus: each event is counted once, so every
+// lec_fleet_*_total series reads exactly its Status field, and the serve
+// series that count the same event as a Stats field read that field. A
+// two-replica loopback fleet is driven through a peer hit, a fallback
+// after an injected drop, a hedge past a stalled lookup, and warm pushes
+// that panic at the handoff site.
+func TestFleetCountersMatchStatus(t *testing.T) {
+	regs := map[string]*obs.Registry{}
+	_, nodes := newTestFleetLB(t, []string{"a", "b"}, func(name string, cfg *Config, scfg *serve.Config) {
+		regs[name] = obs.NewRegistry()
+		cfg.Metrics, scfg.Metrics = regs[name], regs[name]
+		cfg.Replicas = 2
+		cfg.HedgeDelay = 100 * time.Millisecond
+	})
+	reqs := exampleRequestVariants()
+	_, owner := ownerOf(t, nodes["a"], reqs[0])
+	requester := nodes["a"]
+	if owner == "a" {
+		requester = nodes["b"]
+	}
+	inject := func(rules ...faultinject.Rule) {
+		rules = append(rules, faultinject.Rule{Site: faultinject.FleetHandoff, Kind: faultinject.KindPanic, Every: 1})
+		faultinject.Enable(faultinject.New(1, rules...))
+	}
+	t.Cleanup(faultinject.Disable)
+	serveReq := func(req serve.Request) *Reply {
+		t.Helper()
+		rep, err := requester.Optimize(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	// The hedged request is a second key of the same owner, so it is not
+	// a cache hit at the requester after the fallback.
+	var hedgeReq *serve.Request
+	for i := range reqs[1:] {
+		if _, o := ownerOf(t, requester, reqs[1+i]); o == owner {
+			hedgeReq = &reqs[1+i]
+			break
+		}
+	}
+	if hedgeReq == nil {
+		t.Fatal("the owner owns no second request variant")
+	}
+
+	inject()
+	serveReq(reqs[0]) // a peer hit; the owner's warm push panics
+	inject(faultinject.Rule{Site: faultinject.FleetPeerLookup, Kind: faultinject.KindDrop, After: 1})
+	if rep := serveReq(reqs[0]); !rep.FellBack {
+		t.Fatalf("dropped lookup did not fall back: %+v", rep)
+	}
+	inject(faultinject.Rule{Site: faultinject.FleetPeerLookup, Kind: faultinject.KindStall, After: 1, Sleep: 400 * time.Millisecond})
+	before := peerStatus(t, requester, owner)
+	if rep := serveReq(*hedgeReq); !rep.Hedged {
+		t.Fatalf("stalled lookup was not hedged: %+v", rep)
+	}
+	// The stalled lookup lost the race but runs on; it ends by recording
+	// an outcome against the owner.
+	waitFor(t, 5*time.Second, "the stalled lookup to finish", func() bool {
+		after := peerStatus(t, requester, owner)
+		return after.LastOKAt != before.LastOKAt || after.LastErrorAt != before.LastErrorAt
+	})
+
+	var hits, handoffFailed int64
+	for _, n := range nodes {
+		hits += n.c.peerHits.Load()
+		handoffFailed += n.c.handoffFailed.Load()
+	}
+	if hits == 0 || handoffFailed == 0 || requester.c.drops.Load() == 0 ||
+		requester.c.peerMisses.Load() == 0 || requester.c.hedges.Load() == 0 {
+		t.Fatalf("scenario missed an event: requester %+v, peer hits %d, failed handoffs %d",
+			requester.Status(), hits, handoffFailed)
+	}
+
+	// Warm pushes finish in the background; wait for the two views to
+	// agree, then report any series that never did.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		var diffs []string
+		for name, n := range nodes {
+			diffs = append(diffs, counterDiffs(name, n, regs[name].Snapshot().Counters)...)
+		}
+		if len(diffs) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("series differ from Status/Stats:\n%s", strings.Join(diffs, "\n"))
+		}
+	}
+}
+
+// counterDiffs lists the lec_fleet_*_total and per-event lec_serve_*
+// series of one node that differ from its Status and Stats fields, and
+// any lec_fleet_*_total series with no Status field.
+func counterDiffs(node string, n *Node, got map[string]float64) []string {
+	st, sst := n.Status(), n.Service().Stats()
+	want := map[string]int64{
+		"lec_fleet_peer_hits_total":              st.PeerHits,
+		"lec_fleet_peer_misses_total":            st.PeerMisses,
+		"lec_fleet_peer_hedges_total":            st.Hedges,
+		"lec_fleet_peer_hedge_wins_total":        st.HedgeWins,
+		"lec_fleet_peer_drops_total":             st.Drops,
+		"lec_fleet_stale_rejected_total":         st.StaleRejected,
+		"lec_fleet_generation_adoptions_total":   st.Adoptions,
+		"lec_fleet_propagate_sent_total":         st.PropagateSent,
+		"lec_fleet_propagate_failed_total":       st.PropagateFailed,
+		"lec_fleet_health_trips_total":           st.HealthTrips,
+		"lec_fleet_health_probes_total":          st.HealthProbes,
+		"lec_fleet_health_skips_total":           st.HealthSkips,
+		"lec_fleet_failovers_total":              st.Failovers,
+		"lec_fleet_membership_adoptions_total":   st.MembershipAdoptions,
+		"lec_fleet_handoff_sent_total":           st.HandoffSent,
+		"lec_fleet_handoff_failed_total":         st.HandoffFailed,
+		"lec_fleet_warm_fills_total":             st.WarmFills,
+		"lec_fleet_warm_hits_total":              st.WarmHits,
+		"lec_fleet_replica_pushes_total":         st.ReplicaPushes,
+		"lec_fleet_snapshot_saves_total":         st.SnapshotSaves,
+		"lec_fleet_snapshot_save_failures_total": st.SnapshotSaveFailures,
+		"lec_fleet_snapshot_loads_total":         st.SnapshotLoads,
+		"lec_fleet_snapshot_load_failures_total": st.SnapshotLoadFailures,
+		"lec_fleet_snapshot_replayed_total":      st.SnapshotReplayed,
+		"lec_serve_requests_total":               sst.Requests,
+		"lec_serve_breaker_trips_total":          sst.BreakerTrips,
+		"lec_serve_breaker_resets_total":         sst.BreakerResets,
+	}
+	var diffs []string
+	for name := range got {
+		if _, ok := want[name]; !ok && strings.HasPrefix(name, "lec_fleet_") && strings.HasSuffix(name, "_total") {
+			diffs = append(diffs, fmt.Sprintf("%s: %s has no Status field", node, name))
+		}
+	}
+	for name, w := range want {
+		if v, ok := got[name]; !ok || v != float64(w) {
+			diffs = append(diffs, fmt.Sprintf("%s: %s = %v (registered %v), status %d", node, name, v, ok, w))
+		}
+	}
+	return diffs
 }

@@ -85,9 +85,6 @@ func (n *Node) adoptView(epoch uint64, peers []string) bool {
 	n.mview.Store(cand)
 	n.mshipMu.Unlock()
 	n.c.membershipAdoptions.Add(1)
-	if n.m != nil {
-		n.m.membershipAdoptions.Inc()
-	}
 	n.cfg.Logf("fleet: adopted membership epoch %d: %v", cand.epoch, cand.peers)
 	go n.handoffForView(cur, cand)
 	return true
@@ -201,9 +198,6 @@ func (n *Node) exchangeMembership(ctx context.Context, peer string) (rep *Member
 	if faultinject.Check(faultinject.FleetMembership) == faultinject.KindDrop {
 		n.c.drops.Add(1)
 		n.c.membershipFailed.Add(1)
-		if n.m != nil {
-			n.m.drops.Inc()
-		}
 		n.cfg.Logf("fleet: membership exchange with %s dropped (injected partition)", peer)
 		return nil, fmt.Errorf("%w: %s (injected partition)", ErrPeerUnreachable, peer)
 	}
@@ -269,10 +263,6 @@ func (n *Node) sendWarm(peer string, keys []string) {
 	if faultinject.Check(faultinject.FleetHandoff) == faultinject.KindDrop {
 		n.c.drops.Add(1)
 		n.c.handoffFailed.Add(1)
-		if n.m != nil {
-			n.m.drops.Inc()
-			n.m.handoffFailed.Inc()
-		}
 		n.cfg.Logf("fleet: warm handoff of %d keys to %s dropped (injected partition)", len(keys), peer)
 		return
 	}
@@ -282,17 +272,11 @@ func (n *Node) sendWarm(peer string, keys []string) {
 	req := &HandoffRequest{From: n.cfg.Self, Epoch: v.epoch, Keys: keys}
 	if _, err := n.cfg.Transport.Handoff(ctx, peer, req); err != nil {
 		n.c.handoffFailed.Add(1)
-		if n.m != nil {
-			n.m.handoffFailed.Inc()
-		}
 		n.notePeerDown(peer, err.Error())
 		n.cfg.Logf("fleet: warm handoff of %d keys to %s failed: %v", len(keys), peer, err)
 		return
 	}
 	n.c.handoffSent.Add(int64(len(keys)))
-	if n.m != nil {
-		n.m.handoffSent.Add(float64(len(keys)))
-	}
 	n.notePeerOK(peer)
 }
 
@@ -311,14 +295,8 @@ func (n *Node) HandleHandoff(ctx context.Context, req *HandoffRequest) int {
 		}
 		if resp.Cached || resp.Coalesced {
 			n.c.warmHits.Add(1)
-			if n.m != nil {
-				n.m.warmHits.Inc()
-			}
 		} else {
 			n.c.warmFills.Add(1)
-			if n.m != nil {
-				n.m.warmFills.Inc()
-			}
 		}
 		accepted++
 	}

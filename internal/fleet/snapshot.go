@@ -79,16 +79,10 @@ func (n *Node) SaveSnapshot() error {
 	err := n.saveSnapshot()
 	if err != nil {
 		n.c.snapshotSaveFailures.Add(1)
-		if n.m != nil {
-			n.m.snapshotSaveFailures.Inc()
-		}
 		n.cfg.Logf("fleet: snapshot save failed: %v", err)
 		return err
 	}
 	n.c.snapshotSaves.Add(1)
-	if n.m != nil {
-		n.m.snapshotSaves.Inc()
-	}
 	return nil
 }
 
@@ -136,9 +130,6 @@ func (n *Node) LoadSnapshot(ctx context.Context) (replayed int, err error) {
 	f, err := n.readSnapshot()
 	if err != nil {
 		n.c.snapshotLoadFailures.Add(1)
-		if n.m != nil {
-			n.m.snapshotLoadFailures.Inc()
-		}
 		n.cfg.Logf("fleet: cold start: %v", err)
 		return 0, err
 	}
@@ -146,9 +137,6 @@ func (n *Node) LoadSnapshot(ctx context.Context) (replayed int, err error) {
 		return 0, nil
 	}
 	n.c.snapshotLoads.Add(1)
-	if n.m != nil {
-		n.m.snapshotLoads.Inc()
-	}
 	n.adopt(f.Generation)
 	if f.Epoch > 0 && len(f.Peers) > 0 {
 		n.adoptView(f.Epoch, f.Peers)
@@ -159,9 +147,6 @@ func (n *Node) LoadSnapshot(ctx context.Context) (replayed int, err error) {
 		}
 		replayed++
 		n.c.snapshotReplayed.Add(1)
-		if n.m != nil {
-			n.m.snapshotReplayed.Inc()
-		}
 	}
 	return replayed, nil
 }

@@ -27,10 +27,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch m.kind {
 		case kindCounter:
 			_, err = fmt.Fprintf(w, "# TYPE %s counter\n%s %s\n", m.name, m.name, promFloat(m.counter.Value()))
+		case kindCounterFunc:
+			_, err = fmt.Fprintf(w, "# TYPE %s counter\n%s %s\n", m.name, m.name, promFloat(m.fn()))
 		case kindGauge:
 			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", m.name, m.name, promFloat(m.gauge.Value()))
 		case kindGaugeFunc:
-			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", m.name, m.name, promFloat(m.gaugeFunc()))
+			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", m.name, m.name, promFloat(m.fn()))
 		case kindHistogram:
 			err = writeHistogram(w, m.name, m.histogram)
 		}

@@ -110,6 +110,7 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota
+	kindCounterFunc
 	kindGauge
 	kindGaugeFunc
 	kindHistogram
@@ -123,7 +124,7 @@ type metric struct {
 
 	counter   *Counter
 	gauge     *Gauge
-	gaugeFunc func() float64
+	fn        func() float64 // counter or gauge function
 	histogram *Histogram
 }
 
@@ -175,13 +176,22 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return m.gauge
 }
 
+// CounterFunc registers a counter read at scrape time from a total the
+// caller already keeps (an atomic its own status report reads), so one
+// event is counted once. fn must be monotone. Re-registering replaces the
+// function.
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.lookup(name, help, kindCounterFunc).fn = fn
+}
+
 // GaugeFunc registers a gauge computed at scrape time — live values like a
 // queue depth or goroutine count. Re-registering replaces the function.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m := r.lookup(name, help, kindGaugeFunc)
-	m.gaugeFunc = fn
+	r.lookup(name, help, kindGaugeFunc).fn = fn
 }
 
 // Histogram returns the named histogram, registering it with the given
@@ -241,7 +251,8 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot
 }
 
-// Snapshot freezes the registry's current values. GaugeFuncs are evaluated.
+// Snapshot freezes the registry's current values. Counter and gauge
+// functions are evaluated.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]float64{},
@@ -252,10 +263,12 @@ func (r *Registry) Snapshot() Snapshot {
 		switch m.kind {
 		case kindCounter:
 			s.Counters[m.name] = m.counter.Value()
+		case kindCounterFunc:
+			s.Counters[m.name] = m.fn()
 		case kindGauge:
 			s.Gauges[m.name] = m.gauge.Value()
 		case kindGaugeFunc:
-			s.Gauges[m.name] = m.gaugeFunc()
+			s.Gauges[m.name] = m.fn()
 		case kindHistogram:
 			h := HistogramSnapshot{
 				Bounds: append([]float64(nil), m.histogram.bounds...),

@@ -159,6 +159,38 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// TestCounterFunc: a counter function is a counter everywhere the registry
+// reports — under Snapshot.Counters and as "# TYPE … counter" — and reads
+// its source at each scrape.
+func TestCounterFunc(t *testing.T) {
+	r := NewRegistry()
+	var events float64 = 3
+	r.CounterFunc("app_events_total", "Events seen.", func() float64 { return events })
+	if got, ok := r.Snapshot().Counters["app_events_total"]; !ok || got != 3 {
+		t.Fatalf("snapshot counter = %v (registered %v), want 3", got, ok)
+	}
+	events = 5
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# HELP app_events_total Events seen.",
+		"# TYPE app_events_total counter",
+		"app_events_total 5",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("exposition missing %q in:\n%s", want, sb.String())
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("re-registering a counter function as a counter did not panic")
+		}
+	}()
+	r.Counter("app_events_total", "Events seen.")
+}
+
 func TestHistogramConcurrent(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("h", "", []float64{1})

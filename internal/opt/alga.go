@@ -25,15 +25,6 @@ func AlgorithmA(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist
 	return AlgorithmACtx(context.Background(), cat, q, opts, dm)
 }
 
-// algorithmACandidates runs the black-box optimizer once per bucket
-// representative and returns the (deduplicated) candidate plans. All b
-// invocations share one engine session — only the coster changes between
-// buckets — so the memo tables, plan arena, and DP table are reused.
-func algorithmACandidates(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) ([]plan.Node, Counters, error) {
-	cands, counters, _, _, err := algorithmACandidatesCtx(context.Background(), cat, q, opts, dm)
-	return cands, counters, err
-}
-
 // pickLeastExpected evaluates E[Φ] for each candidate under dm and returns
 // the winner. This is Algorithm A's costing phase; the paper notes its cost
 // is "much smaller than the cost of candidate generation".

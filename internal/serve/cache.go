@@ -6,12 +6,14 @@ import (
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/flight"
 )
 
 // planCache is the sharded, single-flight plan cache. Each shard owns an
-// LRU list plus an in-flight table; the shard mutex serializes both, which
-// is what guarantees exactly one engine run per key at any moment: the
-// first request registers a flight, every later identical request finds it
+// LRU list under its mutex plus a flight.Group over its keys, which is
+// what guarantees exactly one engine run per key at any moment: the first
+// request leads the key's call, every later identical request joins it
 // and waits.
 //
 // Keys embed the catalog generation (cacheKey), so bumping the generation
@@ -30,10 +32,10 @@ type planCache struct {
 
 	// flightMu/flightCond guard the live-leader count and the seal. drain
 	// seals the cache and waits for flights to reach zero; a leader that
-	// registered before the seal is waited for (its insert, if any, lands
-	// before drain returns), one that squeaked in after runs to completion
-	// but its insert is suppressed — either way no entry appears after
-	// drain has returned.
+	// counted itself before the seal is waited for (its insert, if any,
+	// lands before drain returns), one that squeaked in after runs to
+	// completion but its insert is suppressed — either way no entry
+	// appears after drain has returned.
 	flightMu   sync.Mutex
 	flightCond *sync.Cond
 	flights    int
@@ -48,22 +50,15 @@ type cacheKey struct {
 }
 
 type cacheShard struct {
-	mu       sync.Mutex
-	entries  map[cacheKey]*list.Element
-	lru      list.List // front = most recent; values are *cacheEntry
-	inflight map[cacheKey]*flight
+	mu      sync.Mutex
+	entries map[cacheKey]*list.Element
+	lru     list.List // front = most recent; values are *cacheEntry
+	flights flight.Group[cacheKey, *Response]
 }
 
 type cacheEntry struct {
 	key  cacheKey
 	resp *Response
-}
-
-// flight is one in-progress optimization other requests can join.
-type flight struct {
-	done chan struct{}
-	resp *Response
-	err  error
 }
 
 func newPlanCache(shards, capacity int) *planCache {
@@ -78,7 +73,7 @@ func newPlanCache(shards, capacity int) *planCache {
 	c.flightCond = sync.NewCond(&c.flightMu)
 	for i := range c.shards {
 		c.shards[i].entries = make(map[cacheKey]*list.Element)
-		c.shards[i].inflight = make(map[cacheKey]*flight)
+		c.shards[i].flights.Joined = func() { c.coalesced.Add(1) }
 	}
 	return c
 }
@@ -107,60 +102,48 @@ func (c *planCache) get(key cacheKey) (*Response, bool) {
 }
 
 // do runs fn under single-flight discipline for key: the first caller
-// becomes the leader and executes fn; everyone else waits for the leader's
-// result (coalesced=true) or their own context. A successful, undegraded,
+// leads and executes fn; everyone else waits for the leader's result
+// (coalesced=true) or their own context. A successful, undegraded,
 // unpinned leader response is inserted into the cache.
 func (c *planCache) do(ctx context.Context, key cacheKey, fn func() (*Response, error)) (resp *Response, coalesced bool, err error) {
 	sh := c.shard(key)
-	sh.mu.Lock()
-	if f, ok := sh.inflight[key]; ok {
-		sh.mu.Unlock()
-		c.coalesced.Add(1)
-		select {
-		case <-f.done:
-			return f.resp, true, f.err
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
-		}
+	return sh.flights.Do(ctx, key, func() (*Response, error) {
+		return c.lead(sh, key, fn)
+	})
+}
+
+// lead is the leader's turn, all of it done before the group releases the
+// key: serve an entry a flight inserted between the caller's get and the
+// group's lock as a hit, otherwise count the miss, run fn, and insert its
+// response unless the cache was sealed when this leader counted itself.
+func (c *planCache) lead(sh *cacheShard, key cacheKey, fn func() (*Response, error)) (*Response, error) {
+	if r, ok := c.get(key); ok {
+		return r, nil
 	}
-	// A flight may have completed between the caller's get and this lock.
-	if el, ok := sh.entries[key]; ok {
-		sh.lru.MoveToFront(el)
-		c.hits.Add(1)
-		r := *el.Value.(*cacheEntry).resp
-		r.Cached = true
-		sh.mu.Unlock()
-		return &r, false, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	sh.inflight[key] = f
-	sh.mu.Unlock()
 	c.flightMu.Lock()
 	c.flights++
-	// A leader that registers before the seal is flushed: drain waits for
-	// it, so its insert lands before drain returns. One that registers
-	// after the seal raced the draining flag; it still serves its caller,
-	// but its insert is suppressed so nothing lands post-drain.
 	sealed := c.sealed
 	c.flightMu.Unlock()
+	defer c.landed()
 	c.misses.Add(1)
 
-	f.resp, f.err = fn()
-
-	sh.mu.Lock()
-	delete(sh.inflight, key)
-	if f.err == nil && !sealed && c.cacheable(f.resp) {
-		c.insertLocked(sh, key, f.resp)
+	resp, err := fn()
+	if err == nil && !sealed && c.cacheable(resp) {
+		sh.mu.Lock()
+		c.insertLocked(sh, key, resp)
+		sh.mu.Unlock()
 	}
-	sh.mu.Unlock()
-	close(f.done)
+	return resp, err
+}
+
+// landed retires one leader from the count drain waits on.
+func (c *planCache) landed() {
 	c.flightMu.Lock()
 	c.flights--
 	if c.flights == 0 {
 		c.flightCond.Broadcast()
 	}
 	c.flightMu.Unlock()
-	return f.resp, false, f.err
 }
 
 // drain seals the cache against further inserts and waits until every

@@ -105,3 +105,34 @@ func TestDrainSealsLateInserts(t *testing.T) {
 		t.Fatal("late insert landed in a drained cache")
 	}
 }
+
+// TestPanickedLeaderReleasesKey: a leader whose run panics (net/http
+// recovers a handler's panic, so the daemon lives on) holds neither its
+// key nor a place in drain's count afterwards: the next request for the
+// key runs instead of waiting on the dead flight, and drain returns.
+func TestPanickedLeaderReleasesKey(t *testing.T) {
+	c := newPlanCache(2, 16)
+	key := cacheKey{spec: "boom"}
+	func() {
+		defer func() { recover() }()
+		c.do(context.Background(), key, func() (*Response, error) { panic("leader fault") })
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	resp, coalesced, err := c.do(ctx, key, func() (*Response, error) {
+		return &Response{Decision: decisionFixture(t)}, nil
+	})
+	if err != nil || coalesced || resp == nil {
+		t.Fatalf("request after a panicked leader: resp=%v coalesced=%v err=%v", resp, coalesced, err)
+	}
+	drained := make(chan struct{})
+	go func() {
+		c.drain()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("drain waited on a leader that had panicked")
+	}
+}

@@ -109,6 +109,18 @@ func TestMetamorphicFaultedPlansValidate(t *testing.T) {
 	} else if !errors.Is(err, lec.ErrInternal) {
 		t.Errorf("injected worker panic error = %v, want ErrInternal", err)
 	}
+	// Compare and Trace run the engine on the same path: a panic there is
+	// an error too, never a crash of the caller.
+	if ds, err := svc.Compare(context.Background(), req); err == nil {
+		t.Errorf("injected worker panic produced %d compared decisions", len(ds))
+	} else if !errors.Is(err, lec.ErrInternal) {
+		t.Errorf("injected Compare panic error = %v, want ErrInternal", err)
+	}
+	if dec, err := svc.Trace(context.Background(), req); err == nil {
+		t.Errorf("injected worker panic produced a traced decision: %+v", dec)
+	} else if !errors.Is(err, lec.ErrInternal) {
+		t.Errorf("injected Trace panic error = %v, want ErrInternal", err)
+	}
 }
 
 // TestMetamorphicTraceMatchesOptimize: the traced run must decide exactly

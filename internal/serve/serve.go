@@ -7,8 +7,8 @@
 //
 //   - a sharded, single-flight plan cache keyed by the exact request spec
 //     (strategy, canonical query, selectivities, environment; spec.go) and
-//     the catalog generation (cache.go);
-//     concurrent identical requests coalesce into one engine run, and a
+//     the catalog generation (cache.go); concurrent identical requests
+//     coalesce through internal/flight into one engine run, and a
 //     catalog/statistics update bumps the generation, atomically
 //     invalidating every cached plan;
 //   - admission control and load shedding (admission.go): a
@@ -22,6 +22,12 @@
 //   - a circuit breaker around misbehaving coster configurations
 //     (breaker.go): repeated internal failures pin requests to the last
 //     good plan until a half-open probe succeeds.
+//
+// Every engine run — the Optimize leader's, Compare's and Trace's — goes
+// through one path (Service.engine): the catalog read lock, the
+// serve/optimize fault site, the rung's budget and tier, the run and stats
+// counts, and a worker panic turned into lec.ErrInternal. Compare and Trace
+// differ only in the options they set and the lec call they make.
 //
 // The cmd/lecd daemon exposes a Service over HTTP+JSON.
 package serve
@@ -335,17 +341,11 @@ func (s *Service) Optimize(ctx context.Context, req Request) (*Response, error) 
 }
 
 func (s *Service) optimize(ctx context.Context, req Request) (*Response, error) {
-	s.c.requests.Add(1)
-	if s.draining.Load() {
-		return nil, ErrDraining
-	}
-	ctx, cancel := s.withDefaultTimeout(ctx)
-	defer cancel()
-
-	q, canon, err := s.bind(req)
+	ctx, cancel, q, canon, err := s.accept(ctx, req)
 	if err != nil {
 		return nil, err
 	}
+	defer cancel()
 	key := s.key(q, canon, req)
 	if resp, ok := s.cache.get(key); ok {
 		return resp, nil
@@ -388,7 +388,7 @@ func (s *Service) optimizeLeader(ctx context.Context, q *query.SPJ, canon string
 	if err != nil {
 		if errors.Is(err, lec.ErrInternal) {
 			if br.fail(s.clock(), s.cfg.Breaker) {
-				s.breakerTripped()
+				s.breakers.trips.Add(1)
 			}
 			// A freshly opened breaker can still pin this request.
 			if _, pinned := br.allow(s.clock(), s.cfg.Breaker); pinned != nil {
@@ -401,7 +401,7 @@ func (s *Service) optimizeLeader(ctx context.Context, q *query.SPJ, canon string
 		return nil, err
 	}
 	if br.ok(dec) {
-		s.breakerReset()
+		s.breakers.resets.Add(1)
 	}
 	resp := &Response{Decision: dec, Pressure: rung.Name}
 	if rung.Name != "" {
@@ -410,14 +410,56 @@ func (s *Service) optimizeLeader(ctx context.Context, q *query.SPJ, canon string
 	return resp, nil
 }
 
-// run executes one engine run under the catalog read lock, with the
-// pressure rung's budget and tier floor folded into the configured
-// options. Worker panics (including injected ones) surface as
-// lec.ErrInternal so the breaker sees them.
-func (s *Service) run(ctx context.Context, q *query.SPJ, req Request, rung Rung) (dec *lec.Decision, err error) {
+// accept is every request's prelude: count it, refuse it while draining,
+// apply the default timeout, and bind its query. The caller defers cancel
+// when err is nil.
+func (s *Service) accept(ctx context.Context, req Request) (_ context.Context, cancel context.CancelFunc, q *query.SPJ, canon string, err error) {
+	s.c.requests.Add(1)
+	if s.draining.Load() {
+		return ctx, nil, nil, "", ErrDraining
+	}
+	cancel = func() {}
+	if _, has := ctx.Deadline(); !has && s.cfg.DefaultTimeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultTimeout)
+	}
+	if q, canon, err = s.bind(req); err != nil {
+		cancel()
+		return ctx, nil, nil, "", err
+	}
+	return ctx, cancel, q, canon, nil
+}
+
+// engineCall is one lec entry point run on a bound request.
+type engineCall func(ctx context.Context, o *lec.Optimizer, q *query.SPJ, req Request) ([]*lec.Decision, error)
+
+func optimizeCall(ctx context.Context, o *lec.Optimizer, q *query.SPJ, req Request) ([]*lec.Decision, error) {
+	dec, err := o.OptimizeContext(ctx, q, req.Env, req.Strategy)
+	return []*lec.Decision{dec}, err
+}
+
+func compareCall(ctx context.Context, o *lec.Optimizer, q *query.SPJ, req Request) ([]*lec.Decision, error) {
+	return o.CompareContext(ctx, q, req.Env)
+}
+
+// first is the decision of an optimizeCall, nil when there is none.
+func first(ds []*lec.Decision) *lec.Decision {
+	if len(ds) == 0 {
+		return nil
+	}
+	return ds[0]
+}
+
+// engine is the one engine-run path, under the Optimize leader (run),
+// Compare and Trace. It runs call on an optimizer built under the catalog
+// read lock, after the serve/optimize fault site, with the rung's budget
+// and tier folded into the configured options and tune, when set, applied
+// last. It counts the run, adds every returned decision's engine counters
+// to the service's, and turns a worker panic (injected ones included) into
+// lec.ErrInternal so the breaker and the daemon's status mapping see it.
+func (s *Service) engine(ctx context.Context, q *query.SPJ, req Request, rung Rung, tune func(*lec.Options), call engineCall) (ds []*lec.Decision, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			dec, err = nil, fmt.Errorf("%w: serving worker panic: %v", lec.ErrInternal, p)
+			ds, err = nil, fmt.Errorf("%w: serving worker panic: %v", lec.ErrInternal, p)
 		}
 	}()
 	s.catMu.RLock()
@@ -426,14 +468,42 @@ func (s *Service) run(ctx context.Context, q *query.SPJ, req Request, rung Rung)
 	opts := s.cfg.Options
 	opts.Budget = tightenBudget(opts.Budget, rung.Budget)
 	opts.Tier = forceTier(opts.Tier, rung.Tier)
-	s.c.optimizations.Add(1)
-	dec, err = lec.NewWithOptions(s.cat, opts).OptimizeContext(ctx, q, req.Env, req.Strategy)
-	if dec != nil {
-		s.c.searchMu.Lock()
-		s.c.search.Add(dec.Stats)
-		s.c.searchMu.Unlock()
+	if tune != nil {
+		tune(&opts)
 	}
-	return dec, err
+	s.c.optimizations.Add(1)
+	ds, err = call(ctx, lec.NewWithOptions(s.cat, opts), q, req)
+	s.c.searchMu.Lock()
+	for _, d := range ds {
+		if d != nil {
+			s.c.search.Add(d.Stats)
+		}
+	}
+	s.c.searchMu.Unlock()
+	return ds, err
+}
+
+// run is the Optimize leader's engine run under a pressure rung.
+func (s *Service) run(ctx context.Context, q *query.SPJ, req Request, rung Rung) (*lec.Decision, error) {
+	ds, err := s.engine(ctx, q, req, rung, nil, optimizeCall)
+	return first(ds), err
+}
+
+// direct serves a request that bypasses the plan cache and the breaker:
+// the request prelude, admission (pressure ladder included), and one
+// engine run.
+func (s *Service) direct(ctx context.Context, req Request, tune func(*lec.Options), call engineCall) ([]*lec.Decision, error) {
+	ctx, cancel, q, _, err := s.accept(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	defer cancel()
+	release, rung, err := s.admit(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	return s.engine(ctx, q, req, rung, tune, call)
 }
 
 // Compare runs every strategy side by side for one request, admitted like
@@ -450,35 +520,7 @@ func (s *Service) Compare(ctx context.Context, req Request) ([]*lec.Decision, er
 }
 
 func (s *Service) compare(ctx context.Context, req Request) ([]*lec.Decision, error) {
-	s.c.requests.Add(1)
-	if s.draining.Load() {
-		return nil, ErrDraining
-	}
-	ctx, cancel := s.withDefaultTimeout(ctx)
-	defer cancel()
-	q, _, err := s.bind(req)
-	if err != nil {
-		return nil, err
-	}
-	release, rung, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	s.catMu.RLock()
-	defer s.catMu.RUnlock()
-	faultinject.Check(faultinject.ServeOptimize)
-	opts := s.cfg.Options
-	opts.Budget = tightenBudget(opts.Budget, rung.Budget)
-	opts.Tier = forceTier(opts.Tier, rung.Tier)
-	s.c.optimizations.Add(1)
-	ds, err := lec.NewWithOptions(s.cat, opts).CompareContext(ctx, q, req.Env)
-	for _, d := range ds {
-		s.c.searchMu.Lock()
-		s.c.search.Add(d.Stats)
-		s.c.searchMu.Unlock()
-	}
-	return ds, err
+	return s.direct(ctx, req, nil, compareCall)
 }
 
 // Trace serves one request with decision tracing enabled and returns the
@@ -486,7 +528,7 @@ func (s *Service) compare(ctx context.Context, req Request) ([]*lec.Decision, er
 // the plan cache and circuit breaker — a cached Decision has no trace, and
 // a diagnostic read should observe the live configuration, not a pinned
 // plan — but honors drain mode, the default timeout, and admission control
-// (including the pressure ladder) like any other engine run.
+// (including the pressure ladder's budget) like any other engine run.
 func (s *Service) Trace(ctx context.Context, req Request) (*lec.Decision, error) {
 	if s.m == nil {
 		return s.traceRun(ctx, req)
@@ -497,44 +539,17 @@ func (s *Service) Trace(ctx context.Context, req Request) (*lec.Decision, error)
 	return dec, err
 }
 
-func (s *Service) traceRun(ctx context.Context, req Request) (dec *lec.Decision, err error) {
-	s.c.requests.Add(1)
-	if s.draining.Load() {
-		return nil, ErrDraining
-	}
-	ctx, cancel := s.withDefaultTimeout(ctx)
-	defer cancel()
-	q, _, err := s.bind(req)
-	if err != nil {
-		return nil, err
-	}
-	release, rung, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	defer func() {
-		if p := recover(); p != nil {
-			dec, err = nil, fmt.Errorf("%w: serving worker panic: %v", lec.ErrInternal, p)
-		}
-	}()
-	s.catMu.RLock()
-	defer s.catMu.RUnlock()
-	faultinject.Check(faultinject.ServeOptimize)
-	opts := s.cfg.Options
-	opts.Budget = tightenBudget(opts.Budget, rung.Budget)
-	// The trace IS the per-subset DP record; a greedy-served plan has none.
-	// Diagnostic reads pin the DP tier so they always observe the search.
-	opts.Tier = lec.TierDP
-	opts.Trace = true
-	s.c.optimizations.Add(1)
-	dec, err = lec.NewWithOptions(s.cat, opts).OptimizeContext(ctx, q, req.Env, req.Strategy)
-	if dec != nil {
-		s.c.searchMu.Lock()
-		s.c.search.Add(dec.Stats)
-		s.c.searchMu.Unlock()
-	}
-	return dec, err
+func (s *Service) traceRun(ctx context.Context, req Request) (*lec.Decision, error) {
+	ds, err := s.direct(ctx, req, traceOptions, optimizeCall)
+	return first(ds), err
+}
+
+// traceOptions turns decision tracing on. The trace IS the per-subset DP
+// record and a greedy-served plan has none, so diagnostic reads pin the DP
+// tier, whatever the configuration or the pressure rung asks for.
+func traceOptions(o *lec.Options) {
+	o.Tier = lec.TierDP
+	o.Trace = true
 }
 
 // bind resolves the request's query and its canonical rendering. A
@@ -610,16 +625,6 @@ func classify(err error) error {
 	default:
 		return fmt.Errorf("%w: %w", lec.ErrInvalidQuery, err)
 	}
-}
-
-func (s *Service) withDefaultTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
-	if s.cfg.DefaultTimeout <= 0 {
-		return ctx, func() {}
-	}
-	if _, has := ctx.Deadline(); has {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, s.cfg.DefaultTimeout)
 }
 
 // key derives the cache key of one bound request: its request key, which
@@ -724,20 +729,6 @@ func (s *Service) Stats() Stats {
 	st.Search = s.c.search
 	s.c.searchMu.Unlock()
 	return st
-}
-
-func (s *Service) breakerTripped() {
-	s.breakers.trips.Add(1)
-	if s.m != nil {
-		s.m.breakerTrips.Inc()
-	}
-}
-
-func (s *Service) breakerReset() {
-	s.breakers.resets.Add(1)
-	if s.m != nil {
-		s.m.breakerResets.Inc()
-	}
 }
 
 // tightenBudget folds a pressure rung's budget into the base: each bound
