@@ -7,6 +7,7 @@
 package repro_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -116,7 +117,7 @@ func BenchmarkAlgorithmB_n6_b8_c4(b *testing.B) {
 	dm := benchMemDist(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := opt.AlgorithmB(cat, q, opt.Options{TopC: 4}, dm); err != nil {
+		if _, err := opt.AlgorithmB(context.Background(), cat, q, opt.Options{TopC: 4}, dm); err != nil {
 			b.Fatal(err)
 		}
 	}

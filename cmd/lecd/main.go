@@ -422,7 +422,7 @@ func (d *daemon) parseRequest(w http.ResponseWriter, r *http.Request) (serve.Req
 	}
 	strategy := lec.AlgorithmC
 	if in.Strategy != "" {
-		s, err := parseStrategy(in.Strategy)
+		s, err := lec.ParseStrategy(in.Strategy)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return serve.Request{}, nil, nil, false
@@ -606,23 +606,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-func parseStrategy(s string) (lec.Strategy, error) {
-	switch s {
-	case "lsc-mean":
-		return lec.LSCMean, nil
-	case "lsc-mode":
-		return lec.LSCMode, nil
-	case "a":
-		return lec.AlgorithmA, nil
-	case "b":
-		return lec.AlgorithmB, nil
-	case "c":
-		return lec.AlgorithmC, nil
-	case "d":
-		return lec.AlgorithmD, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", s)
-	}
 }

@@ -224,7 +224,7 @@ serving:
 	}
 
 	if *strategy != "all" {
-		s, err := parseStrategy(*strategy)
+		s, err := lec.ParseStrategy(*strategy)
 		if err != nil {
 			return fmt.Errorf("%w: %w", errUsage, err)
 		}
@@ -347,25 +347,6 @@ func provenance(d *lec.Decision, budget int) string {
 		line += fmt.Sprintf("; budget %d cost evals (unlimited)", d.Stats.CostEvals)
 	}
 	return line
-}
-
-func parseStrategy(s string) (lec.Strategy, error) {
-	switch s {
-	case "lsc-mean":
-		return lec.LSCMean, nil
-	case "lsc-mode":
-		return lec.LSCMode, nil
-	case "a":
-		return lec.AlgorithmA, nil
-	case "b":
-		return lec.AlgorithmB, nil
-	case "c":
-		return lec.AlgorithmC, nil
-	case "d":
-		return lec.AlgorithmD, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", s)
-	}
 }
 
 func flagWasSet(fs *flag.FlagSet, name string) bool {

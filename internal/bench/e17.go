@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -43,11 +44,11 @@ func E17Aggregation() (*Table, error) {
 		dm := stats.MustNew(
 			[]float64{10 + rng.Float64()*90, 100 + rng.Float64()*900, 1000 + rng.Float64()*9000},
 			[]float64{rng.Float64() + 0.05, rng.Float64() + 0.05, rng.Float64() + 0.05})
-		lec, err := opt.OptimizeWithAggregation(cat, q, opt.Options{}, dm)
+		lec, err := opt.OptimizeWithAggregation(context.Background(), cat, q, opt.Options{}, dm)
 		if err != nil {
 			return nil, err
 		}
-		lsc, err := opt.OptimizeWithAggregation(cat, q, opt.Options{}, stats.Point(dm.Mean()))
+		lsc, err := opt.OptimizeWithAggregation(context.Background(), cat, q, opt.Options{}, stats.Point(dm.Mean()))
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -72,7 +71,7 @@ func E19AnytimeCurve() (*Table, error) {
 		var gaps []float64
 		degraded, partial, greedy := 0, 0, 0
 		for i, in := range cats {
-			res, err := opt.AlgorithmCCtx(context.Background(), in.cat, in.q,
+			res, err := opt.AlgorithmC(in.cat, in.q,
 				opt.Options{Budget: opt.Budget{MaxCostEvals: b}}, dm)
 			if err != nil {
 				return nil, fmt.Errorf("E19 budget %d instance %d: %w", b, i, err)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -167,7 +168,7 @@ func E4OptimizationCost() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		a, err := opt.AlgorithmA(cat, q, opt.Options{}, dm)
+		a, err := opt.AlgorithmA(context.Background(), cat, q, opt.Options{}, dm)
 		if err != nil {
 			return nil, err
 		}

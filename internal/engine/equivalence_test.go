@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -96,12 +97,12 @@ func TestOptimizerPlansComputeCorrectResultAndOrder(t *testing.T) {
 	} else {
 		t.Fatal(err)
 	}
-	if r, err := opt.AlgorithmA(cat, q, opt.Options{}, dm); err == nil {
+	if r, err := opt.AlgorithmA(context.Background(), cat, q, opt.Options{}, dm); err == nil {
 		plans["A"] = r.Plan
 	} else {
 		t.Fatal(err)
 	}
-	if r, err := opt.AlgorithmB(cat, q, opt.Options{}, dm); err == nil {
+	if r, err := opt.AlgorithmB(context.Background(), cat, q, opt.Options{}, dm); err == nil {
 		plans["B"] = r.Plan
 	} else {
 		t.Fatal(err)

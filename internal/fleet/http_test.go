@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -342,41 +343,60 @@ func TestFleetCountersMatchStatus(t *testing.T) {
 	}
 }
 
+// fleetSeries maps each lec_fleet_*_total series to the Status field it
+// reads.
+var fleetSeries = map[string]string{
+	"lec_fleet_peer_hits_total":              "PeerHits",
+	"lec_fleet_peer_misses_total":            "PeerMisses",
+	"lec_fleet_peer_hedges_total":            "Hedges",
+	"lec_fleet_peer_hedge_wins_total":        "HedgeWins",
+	"lec_fleet_peer_drops_total":             "Drops",
+	"lec_fleet_stale_rejected_total":         "StaleRejected",
+	"lec_fleet_generation_adoptions_total":   "Adoptions",
+	"lec_fleet_propagate_sent_total":         "PropagateSent",
+	"lec_fleet_propagate_failed_total":       "PropagateFailed",
+	"lec_fleet_health_trips_total":           "HealthTrips",
+	"lec_fleet_health_probes_total":          "HealthProbes",
+	"lec_fleet_health_skips_total":           "HealthSkips",
+	"lec_fleet_failovers_total":              "Failovers",
+	"lec_fleet_membership_adoptions_total":   "MembershipAdoptions",
+	"lec_fleet_membership_failed_total":      "MembershipFailed",
+	"lec_fleet_handoff_sent_total":           "HandoffSent",
+	"lec_fleet_handoff_failed_total":         "HandoffFailed",
+	"lec_fleet_handoff_entries_total":        "HandoffEntries",
+	"lec_fleet_warm_fills_total":             "WarmFills",
+	"lec_fleet_warm_hits_total":              "WarmHits",
+	"lec_fleet_replica_pushes_total":         "ReplicaPushes",
+	"lec_fleet_snapshot_saves_total":         "SnapshotSaves",
+	"lec_fleet_snapshot_save_failures_total": "SnapshotSaveFailures",
+	"lec_fleet_snapshot_loads_total":         "SnapshotLoads",
+	"lec_fleet_snapshot_load_failures_total": "SnapshotLoadFailures",
+	"lec_fleet_snapshot_replayed_total":      "SnapshotReplayed",
+}
+
 // counterDiffs lists the lec_fleet_*_total and per-event lec_serve_*
-// series of one node that differ from its Status and Stats fields, and
-// any lec_fleet_*_total series with no Status field.
+// series of one node that differ from its Status and Stats fields, any
+// lec_fleet_*_total series with no Status field, and any int64 Status
+// counter with no series.
 func counterDiffs(node string, n *Node, got map[string]float64) []string {
 	st, sst := n.Status(), n.Service().Stats()
 	want := map[string]int64{
-		"lec_fleet_peer_hits_total":              st.PeerHits,
-		"lec_fleet_peer_misses_total":            st.PeerMisses,
-		"lec_fleet_peer_hedges_total":            st.Hedges,
-		"lec_fleet_peer_hedge_wins_total":        st.HedgeWins,
-		"lec_fleet_peer_drops_total":             st.Drops,
-		"lec_fleet_stale_rejected_total":         st.StaleRejected,
-		"lec_fleet_generation_adoptions_total":   st.Adoptions,
-		"lec_fleet_propagate_sent_total":         st.PropagateSent,
-		"lec_fleet_propagate_failed_total":       st.PropagateFailed,
-		"lec_fleet_health_trips_total":           st.HealthTrips,
-		"lec_fleet_health_probes_total":          st.HealthProbes,
-		"lec_fleet_health_skips_total":           st.HealthSkips,
-		"lec_fleet_failovers_total":              st.Failovers,
-		"lec_fleet_membership_adoptions_total":   st.MembershipAdoptions,
-		"lec_fleet_handoff_sent_total":           st.HandoffSent,
-		"lec_fleet_handoff_failed_total":         st.HandoffFailed,
-		"lec_fleet_warm_fills_total":             st.WarmFills,
-		"lec_fleet_warm_hits_total":              st.WarmHits,
-		"lec_fleet_replica_pushes_total":         st.ReplicaPushes,
-		"lec_fleet_snapshot_saves_total":         st.SnapshotSaves,
-		"lec_fleet_snapshot_save_failures_total": st.SnapshotSaveFailures,
-		"lec_fleet_snapshot_loads_total":         st.SnapshotLoads,
-		"lec_fleet_snapshot_load_failures_total": st.SnapshotLoadFailures,
-		"lec_fleet_snapshot_replayed_total":      st.SnapshotReplayed,
-		"lec_serve_requests_total":               sst.Requests,
-		"lec_serve_breaker_trips_total":          sst.BreakerTrips,
-		"lec_serve_breaker_resets_total":         sst.BreakerResets,
+		"lec_serve_requests_total":       sst.Requests,
+		"lec_serve_breaker_trips_total":  sst.BreakerTrips,
+		"lec_serve_breaker_resets_total": sst.BreakerResets,
+	}
+	sv := reflect.ValueOf(st)
+	covered := map[string]bool{}
+	for name, field := range fleetSeries {
+		want[name] = sv.FieldByName(field).Int()
+		covered[field] = true
 	}
 	var diffs []string
+	for i := 0; i < sv.NumField(); i++ {
+		if f := sv.Type().Field(i); f.Type.Kind() == reflect.Int64 && !covered[f.Name] {
+			diffs = append(diffs, fmt.Sprintf("%s: Status.%s has no lec_fleet_* series", node, f.Name))
+		}
+	}
 	for name := range got {
 		if _, ok := want[name]; !ok && strings.HasPrefix(name, "lec_fleet_") && strings.HasSuffix(name, "_total") {
 			diffs = append(diffs, fmt.Sprintf("%s: %s has no Status field", node, name))

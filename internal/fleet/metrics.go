@@ -42,9 +42,11 @@ func newFleetMetrics(reg *obs.Registry, n *Node) *fleetMetrics {
 		{"lec_fleet_failovers_total", "Lookups failed over to the next replica after a branch error.", &n.c.failovers},
 
 		{"lec_fleet_membership_adoptions_total", "Membership views adopted from peers or proposals.", &n.c.membershipAdoptions},
+		{"lec_fleet_membership_failed_total", "Membership exchanges with a peer that dropped, failed or panicked.", &n.c.membershipFailed},
 
 		{"lec_fleet_handoff_sent_total", "Warm request keys delivered to peers (rebalance and replica pushes).", &n.c.handoffSent},
 		{"lec_fleet_handoff_failed_total", "Warm-handoff batches dropped or failed.", &n.c.handoffFailed},
+		{"lec_fleet_handoff_entries_total", "Handed-off request keys from peers replayed into the local cache (warm fills plus warm hits).", &n.c.handoffEntries},
 		{"lec_fleet_warm_fills_total", "Handed-off keys replayed into a fresh local plan.", &n.c.warmFills},
 		{"lec_fleet_warm_hits_total", "Handed-off keys already warm in the local cache.", &n.c.warmHits},
 		{"lec_fleet_replica_pushes_total", "Fresh plans pushed to the key's other replicas as request keys.", &n.c.replicaPushes},

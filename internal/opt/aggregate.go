@@ -27,8 +27,81 @@ const groupRowsPerPage = 256
 // order (sort-merge-last joins, order-providing index scans, or explicit
 // sorts — the inputs that make sort aggregation free). The union is
 // deduplicated by plan key.
-func OptimizeWithAggregation(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
-	return OptimizeWithAggregationCtx(context.Background(), cat, q, opts, dm)
+//
+// The two pool generations run on separate engine sessions under rc (the
+// bare core and the group-key-ordered core are different queries), so each
+// gets its own Options.Budget meter; a degradation in either flags the
+// aggregated Result.
+func OptimizeWithAggregation(rc context.Context, cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
+	if q.GroupBy == nil {
+		return nil, fmt.Errorf("opt: query has no GROUP BY; use AlgorithmC")
+	}
+	if err := q.Validate(cat); err != nil {
+		return nil, err
+	}
+	cands, counters, deg, err := aggregateCandidates(rc, cat, q, opts, dm)
+	if err != nil {
+		return nil, err
+	}
+	groups, pages, err := groupEstimates(cat, q)
+	if err != nil {
+		return nil, err
+	}
+	best, bestCost := pickBestAggregate(q, cands, dm, groups, pages)
+	if best == nil {
+		return nil, fmt.Errorf("opt: aggregation produced no plan")
+	}
+	res := &Result{Plan: best, Cost: bestCost, Count: counters}
+	deg.apply(res)
+	return res, nil
+}
+
+// aggregateCandidates unions the two pools with degradation accumulated
+// across both sessions.
+func aggregateCandidates(rc context.Context, cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) ([]plan.Node, Counters, degradeInfo, error) {
+	core := *q
+	core.OrderBy = nil
+	core.GroupBy = nil
+	cands, counters, _, deg, err := algorithmBCandidates(rc, cat, &core, opts, dm)
+	if err != nil {
+		return nil, counters, deg, err
+	}
+	ordered := core
+	ordered.OrderBy = q.GroupBy
+	moreCands, moreCounters, _, moreDeg, err := algorithmBCandidates(rc, cat, &ordered, opts, dm)
+	if err != nil {
+		return nil, counters, deg, err
+	}
+	counters.Add(moreCounters)
+	if moreDeg.degraded {
+		deg.note(moreDeg.reason, moreDeg.rung)
+	}
+	seen := map[string]bool{}
+	var out []plan.Node
+	for _, c := range append(cands, moreCands...) {
+		if key := c.Key(); !seen[key] {
+			seen[key] = true
+			out = append(out, c)
+		}
+	}
+	return out, counters, deg, nil
+}
+
+// pickBestAggregate finishes every candidate with both aggregate methods and
+// returns the least-expected-cost result.
+func pickBestAggregate(q *query.SPJ, cands []plan.Node, dm *stats.Dist, groups, pages float64) (plan.Node, float64) {
+	var best plan.Node
+	bestCost := math.Inf(1)
+	for _, cand := range cands {
+		for _, m := range []plan.AggMethod{plan.HashAgg, plan.SortAgg} {
+			finished := finishAggregate(q, cand, m, groups, pages)
+			ec := plan.ExpCost(finished, dm)
+			if ec < bestCost {
+				best, bestCost = finished, ec
+			}
+		}
+	}
+	return best, bestCost
 }
 
 // finishAggregate wraps a join plan with the aggregate (and an ORDER BY
@@ -103,17 +176,7 @@ func ExhaustiveWithAggregation(cat *catalog.Catalog, q *query.SPJ, opts Options,
 	if err != nil {
 		return nil, err
 	}
-	var best plan.Node
-	bestCost := math.Inf(1)
-	for _, cand := range plans {
-		for _, m := range []plan.AggMethod{plan.HashAgg, plan.SortAgg} {
-			finished := finishAggregate(q, cand, m, groups, pages)
-			ec := plan.ExpCost(finished, dm)
-			if ec < bestCost {
-				best, bestCost = finished, ec
-			}
-		}
-	}
+	best, bestCost := pickBestAggregate(q, plans, dm, groups, pages)
 	if best == nil {
 		return nil, fmt.Errorf("opt: no aggregate plan found")
 	}

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/catalog"
@@ -28,7 +29,7 @@ func TestAggregationMatchesExhaustive(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		cat, q := aggInstance(t, seed, seed%2 == 0)
 		dm := randMemDist3(seed + 5100)
-		got, err := OptimizeWithAggregation(cat, q, Options{TopC: 512}, dm)
+		got, err := OptimizeWithAggregation(context.Background(), cat, q, Options{TopC: 512}, dm)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -46,7 +47,7 @@ func TestAggregationMatchesExhaustive(t *testing.T) {
 func TestAggregationPlanShape(t *testing.T) {
 	cat, q := aggInstance(t, 3, true)
 	dm := randMemDist3(42)
-	res, err := OptimizeWithAggregation(cat, q, Options{}, dm)
+	res, err := OptimizeWithAggregation(context.Background(), cat, q, Options{}, dm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestAggregateMethodFollowsMemory(t *testing.T) {
 	q := &query.SPJ{Tables: []string{"f"}, GroupBy: &gb, OrderBy: &gb}
 
 	method := func(dm *stats.Dist) plan.AggMethod {
-		res, err := OptimizeWithAggregation(cat, q, Options{}, dm)
+		res, err := OptimizeWithAggregation(context.Background(), cat, q, Options{}, dm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func TestAggregateMethodFollowsMemory(t *testing.T) {
 		},
 		Indexes: []*catalog.Index{{Name: "f_g", Column: "g", Clustered: true, Height: 3}},
 	})
-	res, err := OptimizeWithAggregation(cat2, q, Options{}, stats.Point(50))
+	res, err := OptimizeWithAggregation(context.Background(), cat2, q, Options{}, stats.Point(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +147,11 @@ func TestAggregationLECBeatsLSC(t *testing.T) {
 	for seed := int64(0); seed < 40 && !found; seed++ {
 		cat, q := aggInstance(t, seed, seed%2 == 0)
 		dm := randMemDist3(seed + 5200)
-		lec, err := OptimizeWithAggregation(cat, q, Options{}, dm)
+		lec, err := OptimizeWithAggregation(context.Background(), cat, q, Options{}, dm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lscRes, err := OptimizeWithAggregation(cat, q, Options{}, stats.Point(dm.Mean()))
+		lscRes, err := OptimizeWithAggregation(context.Background(), cat, q, Options{}, stats.Point(dm.Mean()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,12 +168,12 @@ func TestAggregationLECBeatsLSC(t *testing.T) {
 
 func TestAggregationValidation(t *testing.T) {
 	cat, q := randInstance(t, 1, 3, workload.Chain, false)
-	if _, err := OptimizeWithAggregation(cat, q, Options{}, stats.Point(100)); err == nil {
+	if _, err := OptimizeWithAggregation(context.Background(), cat, q, Options{}, stats.Point(100)); err == nil {
 		t.Error("query without GROUP BY accepted")
 	}
 	gb := query.ColumnRef{Table: q.Tables[0], Column: "ghost"}
 	q.GroupBy = &gb
-	if _, err := OptimizeWithAggregation(cat, q, Options{}, stats.Point(100)); err == nil {
+	if _, err := OptimizeWithAggregation(context.Background(), cat, q, Options{}, stats.Point(100)); err == nil {
 		t.Error("unknown group column accepted")
 	}
 	if _, err := ExhaustiveWithAggregation(cat, q, Options{}, stats.Point(100)); err == nil {

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -16,7 +17,7 @@ import (
 // and the expected-cost comparison selects it.
 func TestAlgorithmAExample11(t *testing.T) {
 	cat, q, dm := workload.Example11()
-	res, err := AlgorithmA(cat, q, Options{}, dm)
+	res, err := AlgorithmA(context.Background(), cat, q, Options{}, dm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +41,11 @@ func TestHierarchyLSCgeAgeBgeC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := AlgorithmA(cat, q, Options{}, dm)
+		a, err := AlgorithmA(context.Background(), cat, q, Options{}, dm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := AlgorithmB(cat, q, Options{TopC: 3}, dm)
+		b, err := AlgorithmB(context.Background(), cat, q, Options{TopC: 3}, dm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func TestAlgorithmAIsNotExact(t *testing.T) {
 	for seed := int64(0); seed < 200 && !found; seed++ {
 		cat, q := randInstance(t, seed, 4, workload.Clique, seed%2 == 0)
 		dm := randMemDist3(seed * 13)
-		a, err := AlgorithmA(cat, q, Options{}, dm)
+		a, err := AlgorithmA(context.Background(), cat, q, Options{}, dm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +186,7 @@ func TestAlgorithmBWithLargeCAchievesLEC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := AlgorithmB(cat, q, Options{TopC: 512}, dm)
+		b, err := AlgorithmB(context.Background(), cat, q, Options{TopC: 512}, dm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +203,7 @@ func TestAlgorithmBWithLargeCAchievesLEC(t *testing.T) {
 func TestAlgorithmBCandidatesCoverA(t *testing.T) {
 	cat, q := randInstance(t, 9, 4, workload.Star, false)
 	dm := randMemDist3(17)
-	bCands, _, err := AlgorithmBCandidates(cat, q, Options{TopC: 3}, dm)
+	bCands, _, _, _, err := algorithmBCandidates(context.Background(), cat, q, Options{TopC: 3}, dm)
 	if err != nil {
 		t.Fatal(err)
 	}

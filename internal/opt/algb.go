@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/catalog"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/stats"
@@ -150,18 +151,92 @@ func finishEntry(ctx *Context, pr stepPricer, e topEntry, phase int) topEntry {
 // the b bucket representatives of the memory distribution, then pick the
 // candidate with the least expected cost under the full distribution. It
 // dominates Algorithm A (its candidate pool is a superset) but still does
-// not always find the exact LEC plan.
-func AlgorithmB(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
-	return AlgorithmBCtx(context.Background(), cat, q, opts, dm)
+// not always find the exact LEC plan. The bucket searches run under rc and
+// Options.Budget with the same shared-session budget as AlgorithmA.
+func AlgorithmB(rc context.Context, cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
+	cands, counters, tr, deg, err := algorithmBCandidates(rc, cat, q, opts, dm)
+	if err != nil {
+		return nil, err
+	}
+	return pickPool("B", cands, counters, tr, deg, dm)
 }
 
-// AlgorithmBCandidates returns the deduplicated union of the top-c plans
+// algorithmBCandidates returns the deduplicated union of the top-c plans
 // across all b bucket representatives (up to c·b plans). All b searches
 // run on one engine session, so the memo tables, plan arena, and top-c
-// scratch are shared instead of rebuilt per bucket.
-func AlgorithmBCandidates(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) ([]plan.Node, Counters, error) {
-	cands, counters, _, _, err := algorithmBCandidatesCtx(context.Background(), cat, q, opts, dm)
-	return cands, counters, err
+// scratch are shared instead of rebuilt per bucket. One beginRun arms the
+// whole session: the stop cause is sticky across buckets, so an
+// interruption in bucket i halts buckets i+1..b too. The anytime guarantee
+// holds at the pool level — if the interrupted search produced no finished
+// root at all, the greedy fallback contributes the guaranteed candidate.
+func algorithmBCandidates(rc context.Context, cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) ([]plan.Node, Counters, *obs.Trace, degradeInfo, error) {
+	var deg degradeInfo
+	// Same as algorithm A: the bucket searches never tier individually.
+	opts.Tier = TierDP
+	eng, err := NewOptimizer(cat, q, opts, Config{Coster: FixedParams{Mem: dm.Value(0)}})
+	if err != nil {
+		return nil, Counters{}, nil, deg, err
+	}
+	eng.adopt(rc)
+	eng.ctx.beginRun(rc)
+	// The session never passes through OptimizeCtx, so the run is flushed
+	// to the metrics bundle here, whatever path exits the bucket loop.
+	defer eng.ctx.flushMetrics()
+	c := eng.ctx.Opts.TopC
+	seen := map[string]bool{}
+	var cands []plan.Node
+	for i := 0; i < dm.Len() && !eng.ctx.stopped(); i++ {
+		if err := eng.SetCoster(FixedParams{Mem: dm.Value(i)}); err != nil {
+			return nil, eng.Stats(), eng.traceSnapshot(), deg, err
+		}
+		roots, err := eng.runTopCGuarded(c)
+		if err != nil {
+			if eng.ctx.stopped() {
+				break
+			}
+			return nil, eng.Stats(), eng.traceSnapshot(), deg, fmt.Errorf("opt: algorithm B at m=%v: %w", dm.Value(i), err)
+		}
+		for _, r := range roots {
+			if key := r.node.Key(); !seen[key] {
+				seen[key] = true
+				cands = append(cands, r.node)
+			}
+		}
+	}
+	if eng.ctx.stopped() {
+		deg.note(eng.ctx.degradeReason(), RungPartial)
+		if len(cands) == 0 {
+			fb, ferr := eng.fallbackGuarded()
+			if ferr != nil {
+				return nil, eng.Stats(), eng.traceSnapshot(), deg, fmt.Errorf("%w (fallback also failed: %v)", causeOrBudget(eng.ctx.stopCause), ferr)
+			}
+			deg.rung = RungGreedy
+			cands = append(cands, fb.Plan)
+		}
+		eng.ctx.Count.Degradations++
+	} else if eng.ctx.sawNonFinite() {
+		if len(cands) == 0 {
+			return nil, eng.Stats(), eng.traceSnapshot(), deg, ErrNonFinite
+		}
+		deg.note(DegradeNonFinite, RungFull)
+		eng.ctx.Count.Degradations++
+	}
+	return cands, eng.Stats(), eng.traceSnapshot(), deg, nil
+}
+
+// runTopCGuarded is runTopC under the same recover discipline as the
+// single-plan searches: a panicking coster interrupts the session instead of
+// escaping Algorithm B's bucket loop.
+func (o *Optimizer) runTopCGuarded(c int) (roots []topEntry, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			o.ctx.Count.PanicsRecovered++
+			pe := panicError{val: p}
+			o.ctx.interrupt(pe)
+			roots, err = nil, pe
+		}
+	}()
+	return o.runTopC(c)
 }
 
 // TopCPlans exposes the top-c plans at a single fixed memory value,

@@ -115,16 +115,7 @@ func (dc distCoster) sortStep(input plan.Node, _ int) float64 {
 // independent, the paper's §3.6 default. The returned plan's joins are
 // annotated with their propagated size distributions.
 func AlgorithmD(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
-	eng, err := NewOptimizer(cat, q, opts, Config{Coster: MultiParams{Mem: dm}})
-	if err != nil {
-		return nil, err
-	}
-	res, err := eng.Optimize()
-	if err != nil {
-		return nil, err
-	}
-	annotateSizeDists(eng.ctx, res.Plan)
-	return res, nil
+	return runConfig(cat, q, opts, Config{Coster: MultiParams{Mem: dm}})
 }
 
 // annotateSizeDists stores the per-subset size distributions on the plan's

@@ -124,49 +124,8 @@ func crossUnavoidable(ctx *Context, s query.RelSet) bool {
 	return !ctx.Q.Connected(s)
 }
 
-// BushySystemR returns the least-cost bushy plan at a fixed memory value.
-func BushySystemR(cat *catalog.Catalog, q *query.SPJ, opts Options, mem float64) (*Result, error) {
-	eng, err := NewOptimizer(cat, q, opts, Config{Space: SpaceBushy, Coster: FixedParams{Mem: mem}})
-	if err != nil {
-		return nil, err
-	}
-	return eng.Optimize()
-}
-
 // BushyAlgorithmC returns the bushy LEC plan under a static memory
 // distribution: Algorithm C with heuristic 2 removed.
 func BushyAlgorithmC(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
-	eng, err := NewOptimizer(cat, q, opts, Config{Space: SpaceBushy, Coster: StaticParams{Mem: dm}})
-	if err != nil {
-		return nil, err
-	}
-	return eng.Optimize()
-}
-
-// BushyExpUtility returns the bushy plan minimizing the exponential-utility
-// certainty equivalent — a Space × Objective combination the pre-engine
-// entry points could not express. phases follows the same convention as
-// ExpUtilityDP; a single static distribution means every phase draws from
-// it independently.
-func BushyExpUtility(cat *catalog.Catalog, q *query.SPJ, opts Options, phases []*stats.Dist, gamma float64) (*Result, error) {
-	eng, err := NewOptimizer(cat, q, opts, Config{
-		Space:     SpaceBushy,
-		Coster:    PhasedParams{Phases: phases},
-		Objective: ExponentialUtility{Gamma: gamma},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return eng.Optimize()
-}
-
-// BushyAlgorithmCDynamic returns the bushy LEC plan when memory evolves by
-// a Markov chain — dynamic parameters × bushy space, likewise newly
-// expressible. Each join is charged at phase |S|−2 of the unrolled chain.
-func BushyAlgorithmCDynamic(cat *catalog.Catalog, q *query.SPJ, opts Options, chain *stats.Chain, initial *stats.Dist) (*Result, error) {
-	eng, err := NewOptimizer(cat, q, opts, Config{Space: SpaceBushy, Coster: MarkovParams{Chain: chain, Initial: initial}})
-	if err != nil {
-		return nil, err
-	}
-	return eng.Optimize()
+	return runConfig(cat, q, opts, Config{Space: SpaceBushy, Coster: StaticParams{Mem: dm}})
 }

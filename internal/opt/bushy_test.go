@@ -14,7 +14,7 @@ func TestBushySystemRMatchesExhaustive(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		cat, q := randInstance(t, seed, 4, workload.Clique, seed%2 == 0)
 		for _, mem := range []float64{40, 800} {
-			dp, err := BushySystemR(cat, q, Options{}, mem)
+			dp, err := runConfig(cat, q, Options{}, Config{Space: SpaceBushy, Coster: FixedParams{Mem: mem}})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -144,7 +144,7 @@ func TestBushyPlanShape(t *testing.T) {
 // TestBushyWithPointDistEqualsBushySystemR: one-bucket special case.
 func TestBushyWithPointDistEqualsBushySystemR(t *testing.T) {
 	cat, q := randInstance(t, 6, 4, workload.Clique, true)
-	fixed, err := BushySystemR(cat, q, Options{}, 300)
+	fixed, err := runConfig(cat, q, Options{}, Config{Space: SpaceBushy, Coster: FixedParams{Mem: 300}})
 	if err != nil {
 		t.Fatal(err)
 	}

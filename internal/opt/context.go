@@ -20,12 +20,15 @@
 //     VariancePenalized (E[c] + λ·Var[c], exact because variances add
 //     across independent phases).
 //
-// The historical entry points — SystemR, AlgorithmA/B/C/CDynamic/D,
-// BushySystemR, BushyAlgorithmC, ExpUtilityDP, ExhaustivePipelined — are
-// thin wrappers over the engine and remain the convenient way to request a
-// known configuration. The Exhaustive* functions are deliberately *not*
-// built on the engine: they are independent brute-force oracles used to
-// verify it.
+// NewOptimizer(...).OptimizeCtx is the one context-aware route for a
+// single search. The paper-named entry points — SystemR, LSCPlan,
+// AlgorithmC/CDynamic/D, BushyAlgorithmC, ExpUtilityDP, Tiered,
+// ExhaustivePipelined — are that run under a background context at a known
+// configuration. AlgorithmA, AlgorithmB and OptimizeWithAggregation build
+// candidate pools from many searches on one session and take the request
+// context themselves. The other Exhaustive* functions are deliberately
+// *not* built on the engine: they are independent brute-force oracles used
+// to verify it.
 package opt
 
 import (

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -53,7 +54,7 @@ func BenchmarkDPCore(b *testing.B) {
 	b.Run("algA/chain-buckets", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := AlgorithmA(cat, q, Options{}, dm); err != nil {
+			if _, err := AlgorithmA(context.Background(), cat, q, Options{}, dm); err != nil {
 				b.Fatal(err)
 			}
 		}

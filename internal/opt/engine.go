@@ -222,6 +222,16 @@ func NewOptimizer(cat *catalog.Catalog, q *query.SPJ, opts Options, cfg Config) 
 	return o, nil
 }
 
+// runConfig builds an engine for cfg and runs it once under a background
+// context: the body of every paper-named single-search entry point.
+func runConfig(cat *catalog.Catalog, q *query.SPJ, opts Options, cfg Config) (*Result, error) {
+	eng, err := NewOptimizer(cat, q, opts, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Optimize()
+}
+
 // Reconfigure swaps the engine's configuration while keeping the session
 // state (memo tables, arena, counters). The outgoing pricer's pooled batch
 // scratch is recycled — Algorithm A/B sessions reconfigure once per bucket.

@@ -40,9 +40,9 @@ func TestBushyExpUtilityMatchesOracle(t *testing.T) {
 		cat, q, dm := engineTestInstance(t, int64(400+i), 4)
 		gamma := 1e-5
 		phases := []*stats.Dist{dm}
-		got, err := BushyExpUtility(cat, q, Options{}, phases, gamma)
+		got, err := runConfig(cat, q, Options{}, Config{Space: SpaceBushy, Coster: PhasedParams{Phases: phases}, Objective: ExponentialUtility{Gamma: gamma}})
 		if err != nil {
-			t.Fatalf("instance %d: BushyExpUtility: %v", i, err)
+			t.Fatalf("instance %d: bushy × utility: %v", i, err)
 		}
 		want, err := ExhaustiveBushy(cat, q, Options{}, func(p plan.Node) float64 {
 			return CertaintyEquivalentIndep(p, phases, gamma)
@@ -92,9 +92,9 @@ func TestBushyDynamicMatchesOracle(t *testing.T) {
 	})
 	for i := 0; i < 6; i++ {
 		cat, q, dm := engineTestInstance(t, int64(500+i), 4)
-		got, err := BushyAlgorithmCDynamic(cat, q, Options{}, chain, dm)
+		got, err := runConfig(cat, q, Options{}, Config{Space: SpaceBushy, Coster: MarkovParams{Chain: chain, Initial: dm}})
 		if err != nil {
-			t.Fatalf("instance %d: BushyAlgorithmCDynamic: %v", i, err)
+			t.Fatalf("instance %d: bushy × Markov: %v", i, err)
 		}
 		n := q.NumRels()
 		phases := chain.PhaseDists(dm, n-1)
@@ -151,9 +151,9 @@ func TestPipelinedVariancePenalizedMatchesOracle(t *testing.T) {
 		cat, q, dm := engineTestInstance(t, int64(600+i), 4)
 		lambda := 1e-6
 		phases := []*stats.Dist{dm, stats.Point(900)}
-		got, err := PipelinedVariancePenalized(cat, q, Options{}, phases, lambda)
+		got, err := runConfig(cat, q, Options{}, Config{Space: SpacePipelined, Coster: PhasedParams{Phases: phases}, Objective: VariancePenalized{Lambda: lambda}})
 		if err != nil {
-			t.Fatalf("instance %d: PipelinedVariancePenalized: %v", i, err)
+			t.Fatalf("instance %d: pipelined × variance: %v", i, err)
 		}
 		want, err := Exhaustive(cat, q, Options{}, func(p plan.Node) float64 {
 			return evalPipelinedMV(p, phases, lambda)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/query"
 )
@@ -276,7 +277,10 @@ func (ctx *Context) degradeReason() DegradeReason {
 //
 // On the way out the run is flushed to Options.Metrics and, when tracing is
 // enabled, the decision trace is snapshotted onto the Result — every return
-// path of the inner optimization shares this epilogue.
+// path of the inner optimization shares this epilogue. A MultiParams run's
+// plan has its joins annotated with their size distributions (Algorithm D's
+// per-node distributions, paper Figure 1); the greedy rung builds ordinary
+// joins, so its plans annotate the same way.
 func (o *Optimizer) OptimizeCtx(rc context.Context) (*Result, error) {
 	res, err := o.optimizeCtxInner(rc)
 	if res != nil {
@@ -285,6 +289,9 @@ func (o *Optimizer) OptimizeCtx(rc context.Context) (*Result, error) {
 	o.stampTier(res)
 	o.ctx.flushMetrics()
 	o.ctx.attachTrace(res)
+	if _, multi := o.cfg.Coster.(MultiParams); multi && res != nil {
+		annotateSizeDists(o.ctx, res.Plan)
+	}
 	return res, err
 }
 
@@ -339,6 +346,54 @@ func causeOrBudget(cause error) error {
 		return cause
 	}
 	return ErrBudgetExhausted
+}
+
+// degradeInfo accumulates degradation across a multi-bucket run: the first
+// degradation observed wins (later buckets degrade for the same cause).
+type degradeInfo struct {
+	degraded bool
+	reason   DegradeReason
+	rung     string
+}
+
+func (d *degradeInfo) note(reason DegradeReason, rung string) {
+	if !d.degraded {
+		d.degraded, d.reason, d.rung = true, reason, rung
+	}
+}
+
+// apply flags an aggregated Result. It does not touch the Degradations
+// counter — the per-bucket runs already counted their own events.
+func (d degradeInfo) apply(res *Result) {
+	if d.degraded {
+		res.Degraded, res.Reason, res.Rung = true, d.reason, d.rung
+	}
+}
+
+// stampTrace attaches a multi-bucket session's trace snapshot to the
+// aggregated Result, stamping the final pick's outcome.
+func stampTrace(tr *obs.Trace, res *Result) {
+	if tr == nil {
+		return
+	}
+	tr.FinalCost = res.Cost
+	tr.Rung = res.Rung
+	if res.Degraded {
+		tr.Reason = res.Reason.String()
+	}
+	res.Trace = tr
+}
+
+// traceSnapshot returns the session recorder's cumulative trace, or nil
+// when tracing is disabled. Multi-bucket sessions use it to surface one
+// trace spanning every bucket's search.
+func (o *Optimizer) traceSnapshot() *obs.Trace {
+	if o.ctx.trace == nil {
+		return nil
+	}
+	t := o.ctx.trace.Snapshot()
+	t.BucketErrBound = o.ctx.bucketErr.total()
+	return t
 }
 
 // markDegraded flags a result and counts the degradation event.

@@ -286,13 +286,15 @@ func TestSlowCosterHitsDeadline(t *testing.T) {
 	}
 }
 
-// TestAlgorithmsABDegradeUnderBudget drives the shared-session bucket loops.
+// TestAlgorithmsABDegradeUnderBudget drives the shared-session bucket loops,
+// and LSCPlan, whose re-costed Result must keep the engine's degradation.
 func TestAlgorithmsABDegradeUnderBudget(t *testing.T) {
 	cat, q, dm := engineTestInstance(t, 7009, 5)
 	opts := Options{Budget: Budget{MaxCostEvals: 10}}
 	for name, f := range map[string]func() (*Result, error){
-		"A": func() (*Result, error) { return AlgorithmACtx(context.Background(), cat, q, opts, dm) },
-		"B": func() (*Result, error) { return AlgorithmBCtx(context.Background(), cat, q, opts, dm) },
+		"A":   func() (*Result, error) { return AlgorithmA(context.Background(), cat, q, opts, dm) },
+		"B":   func() (*Result, error) { return AlgorithmB(context.Background(), cat, q, opts, dm) },
+		"LSC": func() (*Result, error) { return LSCPlan(cat, q, opts, dm, false) },
 	} {
 		res, err := f()
 		if err != nil {
@@ -310,8 +312,8 @@ func TestAlgorithmsABDegradeUnderBudget(t *testing.T) {
 func TestAlgorithmsABDegradeUnderPanic(t *testing.T) {
 	cat, q, dm := engineTestInstance(t, 7010, 5)
 	for name, f := range map[string]func() (*Result, error){
-		"A": func() (*Result, error) { return AlgorithmACtx(context.Background(), cat, q, Options{}, dm) },
-		"B": func() (*Result, error) { return AlgorithmBCtx(context.Background(), cat, q, Options{}, dm) },
+		"A": func() (*Result, error) { return AlgorithmA(context.Background(), cat, q, Options{}, dm) },
+		"B": func() (*Result, error) { return AlgorithmB(context.Background(), cat, q, Options{}, dm) },
 	} {
 		faultinject.Enable(faultinject.New(1, faultinject.Rule{
 			Site: faultinject.JoinCost, Kind: faultinject.KindPanic, After: 5,
@@ -335,7 +337,7 @@ func TestAggregationDegradesUnderBudget(t *testing.T) {
 	qq := *q
 	qq.GroupBy = &gb
 	qq.OrderBy = nil
-	res, err := OptimizeWithAggregationCtx(context.Background(), cat, &qq,
+	res, err := OptimizeWithAggregation(context.Background(), cat, &qq,
 		Options{Budget: Budget{MaxCostEvals: 10}}, dm)
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +360,7 @@ func TestUnbudgetedRunsIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctxed, err := AlgorithmCCtx(context.Background(), cat, q, Options{}, dm)
+		ctxed, err := AlgorithmC(cat, q, Options{}, dm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,7 +385,7 @@ func TestGenerousBudgetNeverDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped, err := AlgorithmCCtx(context.Background(), cat, q,
+	capped, err := AlgorithmC(cat, q,
 		Options{Budget: Budget{MaxCostEvals: free.Count.CostEvals * 10}}, dm)
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +409,7 @@ func TestBudgetLadderReachesOptimum(t *testing.T) {
 	}
 	prev := math.Inf(1)
 	for _, b := range []int{5, 50, 500, 0} {
-		res, err := AlgorithmCCtx(context.Background(), cat, q, Options{Budget: Budget{MaxCostEvals: b}}, dm)
+		res, err := AlgorithmC(cat, q, Options{Budget: Budget{MaxCostEvals: b}}, dm)
 		if err != nil {
 			t.Fatalf("budget %d: %v", b, err)
 		}
@@ -516,7 +518,7 @@ func TestSingleRelationFailsoft(t *testing.T) {
 		t.Fatal(err)
 	}
 	dm := stats.MustNew([]float64{10, 100}, []float64{0.5, 0.5})
-	res, err := AlgorithmCCtx(context.Background(), cat, q, Options{Budget: Budget{MaxCostEvals: 1}}, dm)
+	res, err := AlgorithmC(cat, q, Options{Budget: Budget{MaxCostEvals: 1}}, dm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package opt
 // byte-identical plan keys and exactly equal costs.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -602,12 +603,12 @@ func TestGoldenEquivalenceSeed(t *testing.T) {
 
 		// Algorithms A and B (per-bucket loops; the engine shares one session).
 		{
-			got, gotErr := AlgorithmA(gi.cat, gi.q, gi.opts, gi.dm)
+			got, gotErr := AlgorithmA(context.Background(), gi.cat, gi.q, gi.opts, gi.dm)
 			want, wantErr := seedAlgorithmA(gi.cat, gi.q, gi.opts, gi.dm)
 			check("AlgorithmA", i, got, want, gotErr, wantErr)
 		}
 		{
-			got, gotErr := AlgorithmB(gi.cat, gi.q, gi.opts, gi.dm)
+			got, gotErr := AlgorithmB(context.Background(), gi.cat, gi.q, gi.opts, gi.dm)
 			want, wantErr := seedAlgorithmB(gi.cat, gi.q, gi.opts, gi.dm)
 			check("AlgorithmB", i, got, want, gotErr, wantErr)
 		}
@@ -623,7 +624,7 @@ func TestGoldenEquivalenceSeed(t *testing.T) {
 		// Bushy DPs.
 		{
 			mem := gi.dm.Mean()
-			got, gotErr := BushySystemR(gi.cat, gi.q, gi.opts, mem)
+			got, gotErr := runConfig(gi.cat, gi.q, gi.opts, Config{Space: SpaceBushy, Coster: FixedParams{Mem: mem}})
 			want, wantErr := seedBushyDP(newCtx(), seedBushyFixed{mem: mem})
 			check("BushySystemR", i, got, want, gotErr, wantErr)
 		}

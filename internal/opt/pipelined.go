@@ -90,25 +90,5 @@ func evalPipelined(ctx *Context, pr stepPricer, root plan.Node) float64 {
 // reference answer for the pipeline-aware model — kept as an entry point
 // because experiments compare it against the per-join-phase DP.
 func ExhaustivePipelined(cat *catalog.Catalog, q *query.SPJ, opts Options, phaseDists []*stats.Dist) (*Result, error) {
-	eng, err := NewOptimizer(cat, q, opts, Config{Space: SpacePipelined, Coster: PhasedParams{Phases: phaseDists}})
-	if err != nil {
-		return nil, err
-	}
-	return eng.Optimize()
-}
-
-// PipelinedVariancePenalized searches the pipelined space for the plan
-// minimizing E[cost] + λ·Var[cost] per pipeline phase — risk-sensitive
-// pipelined optimization, a Space × Objective combination the pre-engine
-// entry points could not express.
-func PipelinedVariancePenalized(cat *catalog.Catalog, q *query.SPJ, opts Options, phaseDists []*stats.Dist, lambda float64) (*Result, error) {
-	eng, err := NewOptimizer(cat, q, opts, Config{
-		Space:     SpacePipelined,
-		Coster:    PhasedParams{Phases: phaseDists},
-		Objective: VariancePenalized{Lambda: lambda},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return eng.Optimize()
+	return runConfig(cat, q, opts, Config{Space: SpacePipelined, Coster: PhasedParams{Phases: phaseDists}})
 }

@@ -125,7 +125,7 @@ func TestAlgorithmACtxCancel(t *testing.T) {
 	dm := randMemDist3(9100)
 	rc, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := AlgorithmACtx(rc, cat, q, Options{}, dm)
+	res, err := AlgorithmA(rc, cat, q, Options{}, dm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,11 +31,7 @@ func (f fixedCoster) sortStep(input plan.Node, _ int) float64 {
 // case of LEC optimization (paper §4: "the traditional approach is
 // essentially our approach restricted to one bucket").
 func SystemR(cat *catalog.Catalog, q *query.SPJ, opts Options, mem float64) (*Result, error) {
-	eng, err := NewOptimizer(cat, q, opts, Config{Coster: FixedParams{Mem: mem}})
-	if err != nil {
-		return nil, err
-	}
-	return eng.Optimize()
+	return runConfig(cat, q, opts, Config{Coster: FixedParams{Mem: mem}})
 }
 
 // phaseDistAt clamps a phase index into the distribution list — sequences
@@ -82,11 +78,7 @@ func (p phasedCoster) sortStep(input plan.Node, phase int) float64 {
 // static memory distribution and returns the exact LEC left-deep plan
 // (Theorem 3.3).
 func AlgorithmC(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
-	eng, err := NewOptimizer(cat, q, opts, Config{Coster: StaticParams{Mem: dm}})
-	if err != nil {
-		return nil, err
-	}
-	return eng.Optimize()
+	return runConfig(cat, q, opts, Config{Coster: StaticParams{Mem: dm}})
 }
 
 // AlgorithmCDynamic runs the expected-cost dynamic program when memory
@@ -97,11 +89,7 @@ func AlgorithmC(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist
 // probabilities independent of time) it returns the exact LEC left-deep
 // plan (Theorem 3.4).
 func AlgorithmCDynamic(cat *catalog.Catalog, q *query.SPJ, opts Options, chain *stats.Chain, initial *stats.Dist) (*Result, error) {
-	eng, err := NewOptimizer(cat, q, opts, Config{Coster: MarkovParams{Chain: chain, Initial: initial}})
-	if err != nil {
-		return nil, err
-	}
-	return eng.Optimize()
+	return runConfig(cat, q, opts, Config{Coster: MarkovParams{Chain: chain, Initial: initial}})
 }
 
 // PhaseDistsFor exposes the per-phase distributions AlgorithmCDynamic uses,

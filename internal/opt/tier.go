@@ -1,7 +1,6 @@
 package opt
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -728,23 +727,14 @@ func (o *Optimizer) checkedBound(tab *dpTab, k int) float64 {
 	return 0
 }
 
-// TieredCtx optimizes q with the greedy fast path armed (Options.Tier is
+// Tiered optimizes q with the greedy fast path armed (Options.Tier is
 // forced to TierAuto unless already set): the greedy tier serves when its
 // risk signals clear the Options.TierRisk thresholds, and the run escalates
 // to Algorithm C's static-distribution DP otherwise. The Result's Tier /
 // TierReason / TierGap fields report which tier answered and why.
-func TieredCtx(rc context.Context, cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
+func Tiered(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
 	if opts.Tier == TierDP {
 		opts.Tier = TierAuto
 	}
-	eng, err := NewOptimizer(cat, q, opts, Config{Coster: StaticParams{Mem: dm}})
-	if err != nil {
-		return nil, err
-	}
-	return eng.OptimizeCtx(rc)
-}
-
-// Tiered is TieredCtx under a background context.
-func Tiered(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
-	return TieredCtx(context.Background(), cat, q, opts, dm)
+	return runConfig(cat, q, opts, Config{Coster: StaticParams{Mem: dm}})
 }

@@ -101,14 +101,10 @@ func (c mvCoster) sortStep(input plan.Node, phase int) float64 {
 // entry). γ > 0 is risk-averse, γ < 0 risk-seeking; γ → 0 recovers
 // Algorithm C. γ must be non-zero.
 func ExpUtilityDP(cat *catalog.Catalog, q *query.SPJ, opts Options, phases []*stats.Dist, gamma float64) (*Result, error) {
-	eng, err := NewOptimizer(cat, q, opts, Config{
+	return runConfig(cat, q, opts, Config{
 		Coster:    PhasedParams{Phases: phases},
 		Objective: ExponentialUtility{Gamma: gamma},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return eng.Optimize()
 }
 
 // CertaintyEquivalentIndep evaluates the exponential-utility objective

@@ -1,7 +1,6 @@
 package reopt
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/eval"
@@ -26,12 +25,11 @@ func TestOutcomeStatsAccumulateAcrossRestarts(t *testing.T) {
 		t.Fatalf("restarts = %d, want 1", out.Restarts)
 	}
 
-	ctx := context.Background()
-	first, err := opt.SystemRCtx(ctx, cat, q, opt.Options{}, 2000)
+	first, err := opt.SystemR(cat, q, opt.Options{}, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := opt.SystemRCtx(ctx, cat, q, opt.Options{}, 200)
+	second, err := opt.SystemR(cat, q, opt.Options{}, 200)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,16 @@ func Run(cat *catalog.Catalog, q *query.SPJ, opts opt.Options, assumedMem float6
 func RunContext(ctx context.Context, cat *catalog.Catalog, q *query.SPJ, opts opt.Options, assumedMem float64,
 	tr eval.Trace, policy Policy) (Outcome, error) {
 	policy = policy.withDefaults()
-	res, err := opt.SystemRCtx(ctx, cat, q, opts, assumedMem)
+	// systemR is the classical optimizer at one memory value, fail-soft
+	// under ctx and opts.Budget.
+	systemR := func(mem float64) (*opt.Result, error) {
+		eng, err := opt.NewOptimizer(cat, q, opts, opt.Config{Coster: opt.FixedParams{Mem: mem}})
+		if err != nil {
+			return nil, err
+		}
+		return eng.OptimizeCtx(ctx)
+	}
+	res, err := systemR(assumedMem)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -127,7 +136,7 @@ func RunContext(ctx context.Context, cat *catalog.Catalog, q *query.SPJ, opts op
 				out.Sunk += done
 				out.Total += done
 				assumedMem = observed
-				res, err = opt.SystemRCtx(ctx, cat, q, opts, observed)
+				res, err = systemR(observed)
 				if err != nil {
 					return Outcome{}, err
 				}

@@ -236,15 +236,24 @@ func (o *Optimizer) Optimize(q *query.SPJ, env Environment, s Strategy) (*Decisi
 //
 // The Decision's plan is detached from the search session (plan.Detach),
 // and the session's scratch goes back to a bounded pool for the next call.
-func (o *Optimizer) OptimizeContext(ctx context.Context, q *query.SPJ, env Environment, s Strategy) (d *Decision, err error) {
-	rc, release := opt.Pooled(ctx)
-	defer func() { release(err == nil) }()
-	return o.optimizeContext(rc, q, env, s)
+func (o *Optimizer) OptimizeContext(ctx context.Context, q *query.SPJ, env Environment, s Strategy) (*Decision, error) {
+	return o.pooledRun(ctx, q, env, s, nil)
 }
 
-// optimizeContext is OptimizeContext without the session pooling: under an
+// pooledRun is run on pooled session scratch, returned to the pool once the
+// Decision's plan is detached (and dropped if the run failed).
+func (o *Optimizer) pooledRun(ctx context.Context, q *query.SPJ, env Environment, s Strategy, search *Search) (d *Decision, err error) {
+	rc, release := opt.Pooled(ctx)
+	defer func() { release(err == nil) }()
+	return o.run(rc, q, env, s, search)
+}
+
+// run is the facade's one engine-run path: the panic bulkhead, environment
+// and query validation, the engine run, and the Decision. search is nil for
+// a named strategy; OptimizeSearch sets it and plans the block's SPJ core
+// under AlgorithmC's coster in the given Space × Objective. Under an
 // unpooled context every engine session allocates fresh scratch.
-func (o *Optimizer) optimizeContext(ctx context.Context, q *query.SPJ, env Environment, s Strategy) (d *Decision, err error) {
+func (o *Optimizer) run(ctx context.Context, q *query.SPJ, env Environment, s Strategy, search *Search) (d *Decision, err error) {
 	defer recoverToInternal(&err)
 	if err := env.validate(); err != nil {
 		return nil, err
@@ -255,45 +264,90 @@ func (o *Optimizer) optimizeContext(ctx context.Context, q *query.SPJ, env Envir
 	if err := q.Validate(o.cat); err != nil {
 		return nil, classifyErr(err)
 	}
-	if q.GroupBy != nil {
-		return o.optimizeAggregate(ctx, q, env, s)
-	}
-	var res *opt.Result
-	switch s {
-	case LSCMean:
-		res, err = opt.LSCPlanCtx(ctx, o.cat, q, o.opts, env.Memory, false)
-	case LSCMode:
-		res, err = opt.LSCPlanCtx(ctx, o.cat, q, o.opts, env.Memory, true)
-	case AlgorithmA:
-		res, err = opt.AlgorithmACtx(ctx, o.cat, q, o.opts, env.Memory)
-	case AlgorithmB:
-		res, err = opt.AlgorithmBCtx(ctx, o.cat, q, o.opts, env.Memory)
-	case AlgorithmC:
-		if env.Chain != nil {
-			res, err = opt.AlgorithmCDynamicCtx(ctx, o.cat, q, o.opts, env.Chain, env.Memory)
-		} else {
-			res, err = opt.AlgorithmCCtx(ctx, o.cat, q, o.opts, env.Memory)
-		}
-	case AlgorithmD:
-		res, err = opt.AlgorithmDCtx(ctx, o.cat, q, o.opts, env.Memory)
-	default:
-		return nil, fmt.Errorf("lec: unknown strategy %v", s)
-	}
+	aggregate := search == nil && q.GroupBy != nil
+	res, err := o.dispatch(ctx, q, env, s, search, aggregate)
 	if err != nil {
 		return nil, classifyErr(err)
 	}
-	return o.newDecision(s, res, q, env), nil
+	return o.newDecision(s, res, q, env, aggregate), nil
+}
+
+// dispatch runs strategy s on the engine. GROUP BY blocks and Algorithms A
+// and B are candidate-pool searches; every other strategy, and
+// OptimizeSearch, is one engine run under engineConfig's Config.
+func (o *Optimizer) dispatch(ctx context.Context, q *query.SPJ, env Environment, s Strategy, search *Search, aggregate bool) (*opt.Result, error) {
+	if s < LSCMean || s > AlgorithmD {
+		return nil, fmt.Errorf("lec: unknown strategy %v", s)
+	}
+	switch {
+	case aggregate:
+		// The LSC strategies emulate the classical approach by planning at
+		// a point estimate; the Decision still prices the plan under the
+		// true distribution, so Compare stays apples-to-apples.
+		dm := env.Memory
+		switch s {
+		case LSCMean:
+			dm = stats.Point(env.Memory.Mean())
+		case LSCMode:
+			dm = stats.Point(env.Memory.Mode())
+		}
+		return opt.OptimizeWithAggregation(ctx, o.cat, q, o.opts, dm)
+	case s == AlgorithmA:
+		return opt.AlgorithmA(ctx, o.cat, q, o.opts, env.Memory)
+	case s == AlgorithmB:
+		return opt.AlgorithmB(ctx, o.cat, q, o.opts, env.Memory)
+	}
+	var sp Search
+	if search != nil {
+		sp = *search
+	}
+	eng, err := opt.NewOptimizer(o.cat, q, o.opts, engineConfig(s, env, sp))
+	if err != nil {
+		return nil, err
+	}
+	return eng.OptimizeCtx(ctx)
+}
+
+// engineConfig maps a single-search strategy onto the engine's axes, in
+// search's Space × Objective: the LSC strategies are the classical coster
+// at the memory distribution's mean or mode, AlgorithmC the expected-cost
+// coster (the Markov coster of §3.5 when the environment has a chain), and
+// AlgorithmD the multi-parameter coster of §3.6.
+func engineConfig(s Strategy, env Environment, search Search) opt.Config {
+	cfg := opt.Config{Space: search.Space, Objective: search.Objective}
+	switch s {
+	case LSCMean:
+		cfg.Coster = opt.FixedParams{Mem: env.Memory.Mean()}
+	case LSCMode:
+		cfg.Coster = opt.FixedParams{Mem: env.Memory.Mode()}
+	case AlgorithmD:
+		cfg.Coster = opt.MultiParams{Mem: env.Memory}
+	default: // AlgorithmC
+		cfg.Coster = opt.StaticParams{Mem: env.Memory}
+		if env.Chain != nil {
+			cfg.Coster = opt.MarkovParams{Chain: env.Chain, Initial: env.Memory}
+		}
+	}
+	return cfg
 }
 
 // newDecision assembles the public Decision from an engine Result. The plan
 // is detached from the session, so a retained Decision keeps O(n) nodes
-// reachable rather than the whole search.
-func (o *Optimizer) newDecision(s Strategy, res *opt.Result, q *query.SPJ, env Environment) *Decision {
+// reachable rather than the whole search. An aggregate plan was chosen
+// under the static memory distribution, chain or not, and reports its
+// static E[Φ].
+func (o *Optimizer) newDecision(s Strategy, res *opt.Result, q *query.SPJ, env Environment, aggregate bool) *Decision {
 	p := plan.Detach(res.Plan)
+	var ec float64
+	if aggregate {
+		ec = plan.ExpCost(p, env.Memory)
+	} else {
+		ec = o.expectedCost(p, q, env)
+	}
 	return &Decision{
 		Strategy:      s,
 		Plan:          p,
-		ExpectedCost:  o.expectedCost(p, q, env),
+		ExpectedCost:  ec,
 		Risk:          opt.NewRiskProfile(p, env.Memory),
 		Query:         q,
 		Stats:         res.Count,
@@ -307,42 +361,6 @@ func (o *Optimizer) newDecision(s Strategy, res *opt.Result, q *query.SPJ, env E
 		Trace:         res.Trace,
 		env:           env,
 	}
-}
-
-// optimizeAggregate routes GROUP BY blocks through the aggregation-aware
-// optimizer. LEC strategies see the full memory distribution; the LSC
-// strategies emulate the classical approach by planning at a point
-// estimate (mean or mode) and are then evaluated under the true
-// distribution, so Compare stays apples-to-apples.
-func (o *Optimizer) optimizeAggregate(ctx context.Context, q *query.SPJ, env Environment, s Strategy) (*Decision, error) {
-	dm := env.Memory
-	switch s {
-	case LSCMean:
-		dm = stats.Point(env.Memory.Mean())
-	case LSCMode:
-		dm = stats.Point(env.Memory.Mode())
-	}
-	res, err := opt.OptimizeWithAggregationCtx(ctx, o.cat, q, o.opts, dm)
-	if err != nil {
-		return nil, classifyErr(err)
-	}
-	p := plan.Detach(res.Plan)
-	return &Decision{
-		Strategy:      s,
-		Plan:          p,
-		ExpectedCost:  plan.ExpCost(p, env.Memory),
-		Risk:          opt.NewRiskProfile(p, env.Memory),
-		Query:         q,
-		Stats:         res.Count,
-		Degraded:      res.Degraded,
-		DegradeReason: res.Reason,
-		DegradeRung:   res.Rung,
-		Enumeration:   res.Enumeration,
-		Tier:          res.Tier,
-		TierReason:    res.TierReason,
-		TierGap:       res.TierGap,
-		env:           env,
-	}, nil
 }
 
 // expectedCost normalizes every strategy's reported objective to the
@@ -476,6 +494,20 @@ const (
 // "" means exhaustive) for flag and config surfaces.
 func ParseEnumeration(s string) (Enumeration, error) { return opt.ParseEnumeration(s) }
 
+// strategyNames are the strategies' flag names, indexed by Strategy.
+var strategyNames = [...]string{"lsc-mean", "lsc-mode", "a", "b", "c", "d"}
+
+// ParseStrategy parses a strategy's flag name ("lsc-mean", "lsc-mode", "a",
+// "b", "c", "d") for flag and config surfaces.
+func ParseStrategy(s string) (Strategy, error) {
+	for i, name := range strategyNames {
+		if s == name {
+			return Strategy(i), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown strategy %q", s)
+}
+
 // ParseTier parses a tier name ("dp", "auto", "greedy"; "" means dp) for
 // flag and config surfaces.
 func ParseTier(s string) (Tier, error) { return opt.ParseTier(s) }
@@ -493,38 +525,8 @@ func (o *Optimizer) OptimizeSearch(q *query.SPJ, env Environment, search Search)
 // OptimizeSearchContext is OptimizeSearch under a request context and
 // budget, with the same fail-soft contract and session pooling as
 // OptimizeContext.
-func (o *Optimizer) OptimizeSearchContext(ctx context.Context, q *query.SPJ, env Environment, search Search) (d *Decision, err error) {
-	ctx, release := opt.Pooled(ctx)
-	defer func() { release(err == nil) }()
-	defer recoverToInternal(&err)
-	if err := env.validate(); err != nil {
-		return nil, err
-	}
-	if q == nil {
-		return nil, fmt.Errorf("%w: nil query", ErrInvalidQuery)
-	}
-	if err := q.Validate(o.cat); err != nil {
-		return nil, classifyErr(err)
-	}
-	var coster opt.Coster
-	if env.Chain != nil {
-		coster = opt.MarkovParams{Chain: env.Chain, Initial: env.Memory}
-	} else {
-		coster = opt.StaticParams{Mem: env.Memory}
-	}
-	eng, err := opt.NewOptimizer(o.cat, q, o.opts, opt.Config{
-		Space:     search.Space,
-		Coster:    coster,
-		Objective: search.Objective,
-	})
-	if err != nil {
-		return nil, classifyErr(err)
-	}
-	res, err := eng.OptimizeCtx(ctx)
-	if err != nil {
-		return nil, classifyErr(err)
-	}
-	return o.newDecision(AlgorithmC, res, q, env), nil
+func (o *Optimizer) OptimizeSearchContext(ctx context.Context, q *query.SPJ, env Environment, search Search) (*Decision, error) {
+	return o.pooledRun(ctx, q, env, AlgorithmC, &search)
 }
 
 // Compare optimizes the query under every strategy and returns the

@@ -134,7 +134,7 @@ func TestPooledSessionsMatchFresh(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: pooled: %v", label, err)
 				}
-				fresh, err := o.optimizeContext(context.Background(), c.q, c.env, c.s)
+				fresh, err := o.run(context.Background(), c.q, c.env, c.s, nil)
 				if err != nil {
 					t.Fatalf("%s: fresh: %v", label, err)
 				}
