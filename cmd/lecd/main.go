@@ -17,7 +17,8 @@
 // partitioned across the peers by consistent hashing, a request for a key
 // another peer owns is answered from that peer's cache (single-flight
 // preserved fleet-wide), catalog-generation bumps propagate to every peer,
-// and slow or loaded peer lookups are hedged to the next replica. Every
+// and slow peer lookups (or a pressured owner's own run) are hedged to the
+// next replica. Every
 // fleet failure — partition, stale peer, slow peer, peer crash — falls
 // back to the local single-node path. -snapshot (with or without -peers)
 // persists the plan cache on drain and warm-starts it on boot.
@@ -136,7 +137,6 @@ func run(args []string, out, errOut io.Writer) error {
 	selfFlag := fs.String("self", "", "this node's address exactly as listed in -peers (default: -addr)")
 	snapshotFlag := fs.String("snapshot", "", "plan-cache snapshot file: warm-started at boot, saved on drain")
 	hedge := fs.Duration("hedge", 25*time.Millisecond, "peer hedge delay (slow-owner and pressured-queue hedging); negative disables")
-	hedgeQueue := fs.Int("hedge-queue", 0, "hedge immediately when the owner's reported queue depth reaches this (0 disables the load trigger)")
 	replicas := fs.Int("replicas", 1, "owners per plan-cache key; >1 warms standby replicas so one node's death degrades the hit rate by ~1/R")
 	healthWindow := fs.Int("health-window", 0, "failure-detector sliding window per peer (0 = default 16)")
 	healthRate := fs.Float64("health-error-rate", 0, "windowed error rate that suspects a peer (0 = default 0.5)")
@@ -208,12 +208,11 @@ func run(args []string, out, errOut io.Writer) error {
 			peers = []string{self} // fleet of one: snapshots without peers
 		}
 		node, err := fleet.New(d.svc, fleet.Config{
-			Self:            self,
-			Peers:           peers,
-			Transport:       &fleet.HTTPTransport{},
-			Replicas:        *replicas,
-			HedgeDelay:      *hedge,
-			HedgeQueueDepth: *hedgeQueue,
+			Self:       self,
+			Peers:      peers,
+			Transport:  &fleet.HTTPTransport{},
+			Replicas:   *replicas,
+			HedgeDelay: *hedge,
 			Health: fleet.HealthConfig{
 				Window:          *healthWindow,
 				TripErrorRate:   *healthRate,

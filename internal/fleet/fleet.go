@@ -32,13 +32,13 @@
 // any contact between two nodes converges their rings. Routing is
 // health-gated: a per-peer failure detector (health.go) skips suspected
 // peers and fails over to the next replica instead of paying the lookup
-// timeout, and hedging triggers on the owner's reported queue depth as
-// well as the fixed delay. With Config.Replicas R > 1, each key is owned
-// by R successive ring nodes: the primary serves the request path
-// (preserving the one-DP-per-key invariant), fresh plans are pushed to
-// the other replicas asynchronously as request keys they replay through
-// their own optimizers, and a failed primary degrades the hit rate by
-// ~1/R instead of cold-starting its whole range.
+// timeout, and a slow owner is hedged after a fixed delay. With
+// Config.Replicas R > 1, each key is owned by R successive ring nodes:
+// the primary serves the request path (preserving the one-DP-per-key
+// invariant), fresh plans are pushed to the other replicas asynchronously
+// as request keys they replay through their own optimizers, and a failed
+// primary degrades the hit rate by ~1/R instead of cold-starting its
+// whole range.
 package fleet
 
 import (
@@ -82,31 +82,13 @@ type Config struct {
 	// to the key's successor peer; it also gates the pressured-queue
 	// hedge. 0 means the 25ms default; negative disables hedging.
 	HedgeDelay time.Duration
-	// HedgeQueueDepth, when > 0, hedges a remote lookup immediately when
-	// the primary's last-reported admission queue depth (piggybacked on
-	// every lookup reply) is at least this — load-aware hedging. 0
-	// disables the load trigger; the HedgeDelay timer still applies.
-	HedgeQueueDepth int
 	// Health tunes the per-peer failure detector gating the routing.
 	Health HealthConfig
-	// LookupTimeout bounds one peer lookup. Default 2s.
-	LookupTimeout time.Duration
-	// PropagateTimeout bounds one generation propagation per peer.
-	// Default 2s.
-	PropagateTimeout time.Duration
-	// MembershipTimeout bounds one membership exchange per peer.
-	// Default 2s.
-	MembershipTimeout time.Duration
-	// HandoffTimeout bounds one warm-handoff batch per peer. Default 5s.
-	HandoffTimeout time.Duration
 	// SnapshotPath, when set, is where the plan-cache snapshot is saved
 	// on drain and loaded from on warm start.
 	SnapshotPath string
 	// SnapshotLimit bounds the recorded warm set. Default 1024.
 	SnapshotLimit int
-	// ReplayTimeout bounds each entry's re-optimization during warm
-	// start. Default 5s.
-	ReplayTimeout time.Duration
 	// Metrics, when non-nil, receives the lec_fleet_* instrument family.
 	// Nil disables fleet metrics entirely (nothing is registered).
 	Metrics *obs.Registry
@@ -115,21 +97,18 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// Bounds on one peer operation: a lookup, a generation propagation, or a
+// membership exchange with one peer, and one warm-handoff batch.
+const (
+	lookupTimeout     = 2 * time.Second
+	propagateTimeout  = 2 * time.Second
+	membershipTimeout = 2 * time.Second
+	handoffTimeout    = 5 * time.Second
+)
+
 func (c Config) withDefaults() Config {
 	if c.HedgeDelay == 0 {
 		c.HedgeDelay = 25 * time.Millisecond
-	}
-	if c.LookupTimeout <= 0 {
-		c.LookupTimeout = 2 * time.Second
-	}
-	if c.PropagateTimeout <= 0 {
-		c.PropagateTimeout = 2 * time.Second
-	}
-	if c.MembershipTimeout <= 0 {
-		c.MembershipTimeout = 2 * time.Second
-	}
-	if c.HandoffTimeout <= 0 {
-		c.HandoffTimeout = 5 * time.Second
 	}
 	if c.Replicas < 1 {
 		c.Replicas = 1
@@ -391,15 +370,11 @@ func (n *Node) ownerPath(ctx context.Context, req serve.Request, key string, res
 }
 
 // remotePath serves a key another node owns: requester-side single-flight
-// over the peer lookup, then the race (lookup, failover, optional hedge,
-// local fallback). The hedge fires immediately when the primary's
-// last-reported queue depth crosses HedgeQueueDepth — load-aware hedging
-// spends the extra lookup before the slow reply proves the owner is
-// drowning.
+// over the peer lookup, then the race (lookup, failover, optional hedge
+// after HedgeDelay, local fallback).
 func (n *Node) remotePath(ctx context.Context, req serve.Request, key string, cands []candidate, skipped int) (*Reply, error) {
-	immediate := n.cfg.HedgeQueueDepth > 0 && n.peerQueueDepth(cands[0].peer) >= n.cfg.HedgeQueueDepth
 	r, coalesced, err := n.flights.Do(ctx, key, func() (*Reply, error) {
-		rep, rerr := n.race(ctx, req, key, false, cands, immediate)
+		rep, rerr := n.race(ctx, req, key, false, cands, false)
 		if rep != nil {
 			// Recorded before the single-flight publishes the reply:
 			// coalesced followers copy it concurrently.
@@ -593,7 +568,7 @@ func (n *Node) lookup(ctx context.Context, peer, key string, hedge bool) (*Looku
 		From:       n.cfg.Self,
 		Hedge:      hedge,
 	}
-	lctx, cancel := context.WithTimeout(ctx, n.cfg.LookupTimeout)
+	lctx, cancel := context.WithTimeout(ctx, lookupTimeout)
 	defer cancel()
 	rep, err := n.cfg.Transport.Lookup(lctx, peer, wreq)
 	if err != nil {
@@ -646,7 +621,7 @@ func (n *Node) HandleLookup(ctx context.Context, req *LookupRequest) (*LookupRep
 	}
 	n.noteServed(key, resp)
 	n.maybeReplicate(key, resp)
-	depth, _, _ := n.svc.QueueState()
+	depth, _ := n.svc.Pressure()
 	return &LookupReply{
 		Generation: n.svc.Generation(),
 		Epoch:      n.Epoch(),
@@ -704,7 +679,7 @@ func (n *Node) adopt(gen uint64) {
 
 // Invalidate bumps the local catalog generation and propagates the bump
 // to every peer, waiting for the acknowledgements (bounded by
-// PropagateTimeout each). Dropped propagations leave that peer stale —
+// propagateTimeout each). Dropped propagations leave that peer stale —
 // which the lookup protocol detects and repairs on the next contact.
 func (n *Node) Invalidate() uint64 {
 	n.svc.Invalidate()
@@ -755,7 +730,7 @@ func (n *Node) propagateTo(peer string, gen uint64) {
 		return
 	}
 	t0 := time.Now()
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.PropagateTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), propagateTimeout)
 	defer cancel()
 	peerGen, err := n.cfg.Transport.Propagate(ctx, peer, gen)
 	if err != nil {
@@ -820,7 +795,7 @@ func (n *Node) notePeerOK(peer string) {
 }
 
 // notePeerReply is notePeerOK plus the queue depth the lookup reply
-// piggybacked — the input to load-aware hedging.
+// piggybacked, which Status reports.
 func (n *Node) notePeerReply(peer string, queueDepth int) {
 	n.peerMu.Lock()
 	defer n.peerMu.Unlock()
@@ -841,14 +816,4 @@ func (n *Node) allowPeer(peer string) bool {
 		n.c.healthProbes.Add(1)
 	}
 	return ok
-}
-
-// peerQueueDepth reports the peer's last-piggybacked admission queue depth.
-func (n *Node) peerQueueDepth(peer string) int {
-	n.peerMu.Lock()
-	defer n.peerMu.Unlock()
-	if st := n.peerState[peer]; st != nil {
-		return st.queueDepth
-	}
-	return 0
 }

@@ -12,11 +12,8 @@ type HealthConfig struct {
 	// operations, successes and failures alike). Default 16.
 	Window int
 	// TripErrorRate suspects a peer when its windowed error rate reaches
-	// this value with at least MinSamples outcomes recorded. Default 0.5.
+	// this value with at least minSamples outcomes recorded. Default 0.5.
 	TripErrorRate float64
-	// MinSamples gates the error-rate trip so one early failure out of one
-	// sample does not suspect a peer. Default 4.
-	MinSamples int
 	// TripConsecutive suspects a peer after this many consecutive
 	// failures regardless of the windowed rate — the fast path for a dead
 	// peer. Default 3.
@@ -27,15 +24,16 @@ type HealthConfig struct {
 	ProbeAfter time.Duration
 }
 
+// minSamples gates the error-rate trip so one early failure out of one
+// sample does not suspect a peer.
+const minSamples = 4
+
 func (h HealthConfig) withDefaults() HealthConfig {
 	if h.Window <= 0 {
 		h.Window = 16
 	}
 	if h.TripErrorRate <= 0 {
 		h.TripErrorRate = 0.5
-	}
-	if h.MinSamples <= 0 {
-		h.MinSamples = 4
 	}
 	if h.TripConsecutive <= 0 {
 		h.TripConsecutive = 3
@@ -122,7 +120,7 @@ func (d *detector) fail(now time.Time) (tripped bool) {
 		return true
 	case detHealthy:
 		if d.consecutive >= d.cfg.TripConsecutive ||
-			(d.n >= d.cfg.MinSamples && d.errorRate() >= d.cfg.TripErrorRate) {
+			(d.n >= minSamples && d.errorRate() >= d.cfg.TripErrorRate) {
 			d.state = detSuspect
 			d.suspectedAt = now
 			return true

@@ -79,13 +79,13 @@ func TestDetectorTripProbeReadmit(t *testing.T) {
 // threshold with enough samples — the slow-burn path for a flapping peer.
 func TestDetectorRateTrip(t *testing.T) {
 	d := newDetector(HealthConfig{
-		Window: 8, TripErrorRate: 0.5, MinSamples: 4, TripConsecutive: 100,
+		Window: 8, TripErrorRate: 0.5, TripConsecutive: 100,
 	}.withDefaults())
 	t0 := time.Unix(1000, 0)
 
 	d.ok()
 	if tripped := d.fail(t0); tripped {
-		t.Fatal("tripped below MinSamples")
+		t.Fatal("tripped below minSamples")
 	}
 	d.ok()
 	// Sample 4: rate hits 2/4 = 0.5 with consecutive = 1 — the rate path.
@@ -206,8 +206,7 @@ func peerStatus(t *testing.T, n *Node, peer string) PeerStatus {
 }
 
 // TestQueueDepthPiggyback: a lookup reply carries the owner's admission
-// queue depth, and the requester records it for load-aware hedging and
-// /clusterz.
+// queue depth, and the requester records it for /clusterz.
 func TestQueueDepthPiggyback(t *testing.T) {
 	nodes := newTestFleet(t, []string{"a", "b"}, nil)
 	req := exampleRequest()

@@ -202,7 +202,7 @@ func (n *Node) exchangeMembership(ctx context.Context, peer string) (rep *Member
 		return nil, fmt.Errorf("%w: %s (injected partition)", ErrPeerUnreachable, peer)
 	}
 	v := n.view()
-	mctx, cancel := context.WithTimeout(ctx, n.cfg.MembershipTimeout)
+	mctx, cancel := context.WithTimeout(ctx, membershipTimeout)
 	defer cancel()
 	rep, err = n.cfg.Transport.Membership(mctx, peer, &MembershipMsg{Epoch: v.epoch, Peers: v.peers, From: n.cfg.Self})
 	if err != nil {
@@ -266,7 +266,7 @@ func (n *Node) sendWarm(peer string, keys []string) {
 		n.cfg.Logf("fleet: warm handoff of %d keys to %s dropped (injected partition)", len(keys), peer)
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.HandoffTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), handoffTimeout)
 	defer cancel()
 	v := n.view()
 	req := &HandoffRequest{From: n.cfg.Self, Epoch: v.epoch, Keys: keys}

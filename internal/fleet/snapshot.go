@@ -121,8 +121,9 @@ func (n *Node) saveSnapshot() error {
 // no file, unreadable file, corrupt body, another snapshot version (a
 // version-1 JSON file among them: ErrSnapshotVersion), catalog-fingerprint
 // mismatch, injected fault — is a counted cold start, never a boot
-// failure: the returned error is diagnostic. Replay runs sequentially
-// under ReplayTimeout per entry; individual entry failures are skipped.
+// failure: the returned error is diagnostic. Replay runs sequentially,
+// each entry under the service's DefaultTimeout like any other request;
+// individual entry failures are skipped.
 func (n *Node) LoadSnapshot(ctx context.Context) (replayed int, err error) {
 	if n.cfg.SnapshotPath == "" {
 		return 0, nil
@@ -152,9 +153,9 @@ func (n *Node) LoadSnapshot(ctx context.Context) (replayed int, err error) {
 }
 
 // replay serves one received request key — a snapshot entry or a handoff
-// entry, named by what in its log lines — through the local optimizer
-// under ReplayTimeout: decode it, rebind it against the live catalog, run
-// it, and record it in the warm set.
+// entry, named by what in its log lines — through the local optimizer:
+// decode it, rebind it against the live catalog, run it, and record it in
+// the warm set.
 func (n *Node) replay(ctx context.Context, key, what string) (*serve.Response, error) {
 	req, err := serve.DecodeKey(key)
 	if err != nil {
@@ -165,11 +166,6 @@ func (n *Node) replay(ctx context.Context, key, what string) (*serve.Response, e
 	if err != nil {
 		n.cfg.Logf("fleet: %s %q no longer binds: %v", what, req.SQL, err)
 		return nil, err
-	}
-	if n.cfg.ReplayTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, n.cfg.ReplayTimeout)
-		defer cancel()
 	}
 	resp, err := n.svc.Optimize(ctx, bound)
 	if err != nil {

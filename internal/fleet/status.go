@@ -5,7 +5,8 @@ import "time"
 // PeerStatus is one ring member's health as seen from this node: the last
 // error/success timestamps plus the failure detector's live verdict,
 // windowed error rate, and the peer's last-reported admission queue depth
-// — the inputs health-gated routing and load-aware hedging act on.
+// — the inputs health-gated routing acts on, and the load each peer
+// reported.
 type PeerStatus struct {
 	Name      string `json:"name"`
 	Self      bool   `json:"self,omitempty"`
@@ -116,7 +117,7 @@ func (n *Node) Status() Status {
 	for _, p := range v.ring.peers {
 		ps := PeerStatus{Name: p, Self: p == n.cfg.Self, State: detHealthy.String()}
 		if ps.Self {
-			ps.QueueDepth, _, _ = n.svc.QueueState()
+			ps.QueueDepth, _ = n.svc.Pressure()
 		} else if s := n.peerState[p]; s != nil {
 			ps.LastError = s.lastError
 			if !s.lastErrorAt.IsZero() {

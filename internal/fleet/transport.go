@@ -86,8 +86,8 @@ type LookupReply struct {
 	Epoch uint64
 	// Node is the responder's identity.
 	Node string
-	// QueueDepth is the responder's admission queue depth at answer time
-	// — the load signal behind load-aware hedging.
+	// QueueDepth is the responder's admission queue depth at answer time,
+	// which the requester's Status (/clusterz) reports.
 	QueueDepth int
 	// Resp is the responder's serve response, flattened for the wire.
 	Resp WireResponse

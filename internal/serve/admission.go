@@ -14,6 +14,9 @@ import (
 // hint; unwrap with AsOverload.
 var ErrOverloaded = fmt.Errorf("serve: overloaded")
 
+// retryAfterUnit is the retry-after hint per request queued at shed time.
+const retryAfterUnit = 25 * time.Millisecond
+
 // OverloadError is the concrete shed error. errors.Is(err, ErrOverloaded)
 // matches it.
 type OverloadError struct {
@@ -104,7 +107,7 @@ func (s *Service) admit(ctx context.Context) (release func(), rung Rung, err err
 		depth := len(s.queue)
 		s.c.shed.Add(1)
 		return nil, Rung{}, &OverloadError{
-			RetryAfter: time.Duration(depth+1) * s.cfg.RetryAfterHint,
+			RetryAfter: time.Duration(depth+1) * retryAfterUnit,
 			QueueDepth: depth,
 		}
 	}

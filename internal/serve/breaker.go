@@ -14,26 +14,14 @@ import (
 // coster configuration is open and no last-good plan is pinned yet.
 var ErrCircuitOpen = errors.New("serve: circuit open")
 
-// BreakerConfig tunes the per-configuration circuit breaker.
-type BreakerConfig struct {
-	// FailureThreshold is the number of consecutive internal failures
-	// (recovered panics, NaN-poisoned searches) that trips the breaker.
-	// Default 3.
-	FailureThreshold int
-	// Cooldown is how long a tripped breaker stays open before admitting
-	// one half-open probe. Default 250ms.
-	Cooldown time.Duration
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 3
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 250 * time.Millisecond
-	}
-	return c
-}
+const (
+	// breakerThreshold is the number of consecutive internal failures
+	// (recovered panics, NaN-poisoned searches) that trips a breaker.
+	breakerThreshold = 3
+	// breakerCooldown is how long a tripped breaker stays open before
+	// admitting one half-open probe.
+	breakerCooldown = 250 * time.Millisecond
+)
 
 // breakerState is the classic three-state machine.
 type breakerState int
@@ -48,8 +36,8 @@ const (
 // generation-free). While open it pins requests to the last good plan the
 // configuration produced — the plan cache stays honest (a generation bump
 // still invalidates it), but clients keep getting *some* valid plan while
-// the configuration is on fire. After Cooldown one probe is let through;
-// its outcome closes or re-opens the breaker.
+// the configuration is on fire. After breakerCooldown one probe is let
+// through; its outcome closes or re-opens the breaker.
 type breaker struct {
 	key string // registry key, for eviction
 
@@ -130,14 +118,14 @@ func (bs *breakerSet) counts() (trips, resets int64) {
 // may not, the pinned last-good plan (possibly nil) is returned instead.
 // An open breaker past its cooldown moves to half-open and admits exactly
 // one probe; concurrent requests during the probe stay pinned.
-func (b *breaker) allow(now time.Time, cfg BreakerConfig) (admitted bool, pinned *lec.Decision) {
+func (b *breaker) allow(now time.Time) (admitted bool, pinned *lec.Decision) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case breakerClosed:
 		return true, nil
 	case breakerOpen:
-		if now.Sub(b.openedAt) >= cfg.Cooldown {
+		if now.Sub(b.openedAt) >= breakerCooldown {
 			b.state = breakerHalfOpen
 			b.probing = true
 			return true, nil
@@ -154,7 +142,7 @@ func (b *breaker) allow(now time.Time, cfg BreakerConfig) (admitted bool, pinned
 
 // fail records one internal failure; it reports true when this failure
 // tripped the breaker (closed→open or a failed half-open probe).
-func (b *breaker) fail(now time.Time, cfg BreakerConfig) (tripped bool) {
+func (b *breaker) fail(now time.Time) (tripped bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -166,7 +154,7 @@ func (b *breaker) fail(now time.Time, cfg BreakerConfig) (tripped bool) {
 		return true
 	case breakerClosed:
 		b.failures++
-		if b.failures >= cfg.FailureThreshold {
+		if b.failures >= breakerThreshold {
 			b.state = breakerOpen
 			b.openedAt = now
 			return true

@@ -40,10 +40,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 // panics injected at the serving worker.
 func TestBreakerFaultMatrix(t *testing.T) {
 	cat, q, dm := workload.Example11()
-	svc := New(cat, Config{
-		CacheCapacity: -1, // cache off so every request reaches the breaker
-		Breaker:       BreakerConfig{FailureThreshold: 3, Cooldown: 100 * time.Millisecond},
-	})
+	svc := New(cat, Config{CacheCapacity: -1}) // cache off so every request reaches the breaker
 	clk := &fakeClock{now: time.Unix(1_000_000, 0)}
 	svc.clock = clk.Now
 	req := Request{Query: q, Env: lec.Environment{Memory: dm}, Strategy: lec.AlgorithmC}
@@ -92,7 +89,7 @@ func TestBreakerFaultMatrix(t *testing.T) {
 
 	// Past the cooldown one half-open probe runs; the coster still panics,
 	// so the probe fails and the breaker re-opens.
-	clk.Advance(150 * time.Millisecond)
+	clk.Advance(breakerCooldown + 50*time.Millisecond)
 	r6, err := svc.Optimize(ctx, req)
 	if err != nil || !r6.Pinned {
 		t.Fatalf("failed-probe response = %+v, %v; want pinned fallback", r6, err)
@@ -112,7 +109,7 @@ func TestBreakerFaultMatrix(t *testing.T) {
 
 	// The coster heals; the next probe succeeds and closes the breaker.
 	faultinject.Disable()
-	clk.Advance(150 * time.Millisecond)
+	clk.Advance(breakerCooldown + 50*time.Millisecond)
 	r8, err := svc.Optimize(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -137,10 +134,8 @@ func TestBreakerFaultMatrix(t *testing.T) {
 // ErrCircuitOpen instead of inventing a plan.
 func TestBreakerWithoutLastGoodFailsTyped(t *testing.T) {
 	cat, q, dm := workload.Example11()
-	svc := New(cat, Config{
-		CacheCapacity: -1,
-		Breaker:       BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour},
-	})
+	svc := New(cat, Config{CacheCapacity: -1})
+	svc.clock = (&fakeClock{now: time.Unix(1_000_000, 0)}).Now // the cooldown never passes
 	req := Request{Query: q, Env: lec.Environment{Memory: dm}, Strategy: lec.AlgorithmC}
 
 	faultinject.Enable(faultinject.New(1, faultinject.Rule{
@@ -149,11 +144,10 @@ func TestBreakerWithoutLastGoodFailsTyped(t *testing.T) {
 	t.Cleanup(faultinject.Disable)
 
 	ctx := context.Background()
-	if _, err := svc.Optimize(ctx, req); !errors.Is(err, lec.ErrInternal) {
-		t.Fatalf("first failure = %v, want ErrInternal", err)
-	}
-	if _, err := svc.Optimize(ctx, req); !errors.Is(err, lec.ErrInternal) {
-		t.Fatalf("tripping failure = %v, want ErrInternal", err)
+	for i := 1; i <= breakerThreshold; i++ {
+		if _, err := svc.Optimize(ctx, req); !errors.Is(err, lec.ErrInternal) {
+			t.Fatalf("failure %d = %v, want ErrInternal", i, err)
+		}
 	}
 	_, err := svc.Optimize(ctx, req)
 	if !errors.Is(err, ErrCircuitOpen) {
@@ -165,68 +159,25 @@ func TestBreakerWithoutLastGoodFailsTyped(t *testing.T) {
 	}
 }
 
-// TestRetryBacksOffTransientFailures scripts the runner so the first two
-// attempts exhaust their budget with nothing to show; the third succeeds.
-func TestRetryBacksOffTransientFailures(t *testing.T) {
+// TestBudgetExhaustedRunsOnce: an engine run that ends in
+// ErrBudgetExhausted is not run again. The real engine returns it only
+// when its deadline or cancellation fired, or when the greedy fallback
+// failed after a budget stop; a second run under the same request, rung
+// and budget ends the same way.
+func TestBudgetExhaustedRunsOnce(t *testing.T) {
 	cat, q, dm := workload.Example11()
-	svc := New(cat, Config{Retry: RetryConfig{MaxAttempts: 3, BaseBackoff: time.Microsecond}})
-	var calls atomic.Int64
-	real := svc.runner
-	svc.runner = func(ctx context.Context, q *query.SPJ, req Request, rung Rung) (*lec.Decision, error) {
-		if calls.Add(1) < 3 {
-			return nil, fmt.Errorf("%w: injected transient", lec.ErrBudgetExhausted)
-		}
-		return real(ctx, q, req, rung)
-	}
-	r, err := svc.Optimize(context.Background(), Request{Query: q, Env: lec.Environment{Memory: dm}, Strategy: lec.AlgorithmC})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Decision.Plan == nil {
-		t.Fatal("no plan after retries")
-	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("attempts = %d, want 3", got)
-	}
-	if st := svc.Stats(); st.Retries != 2 {
-		t.Errorf("retries = %d, want 2", st.Retries)
-	}
-}
-
-func TestRetryStopsOnNonTransient(t *testing.T) {
-	cat, q, dm := workload.Example11()
-	svc := New(cat, Config{Retry: RetryConfig{MaxAttempts: 5, BaseBackoff: time.Microsecond}})
+	svc := New(cat, Config{})
 	var calls atomic.Int64
 	svc.runner = func(ctx context.Context, q *query.SPJ, req Request, rung Rung) (*lec.Decision, error) {
 		calls.Add(1)
-		return nil, fmt.Errorf("%w: not worth retrying", lec.ErrInvalidQuery)
+		return nil, fmt.Errorf("%w: scripted", lec.ErrBudgetExhausted)
 	}
-	_, err := svc.Optimize(context.Background(), Request{Query: q, Env: lec.Environment{Memory: dm}})
-	if !errors.Is(err, lec.ErrInvalidQuery) {
-		t.Fatalf("error = %v, want ErrInvalidQuery", err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Errorf("attempts = %d, want 1 (no retry of input errors)", got)
-	}
-	if st := svc.Stats(); st.Retries != 0 {
-		t.Errorf("retries = %d, want 0", st.Retries)
-	}
-}
-
-func TestRetryGivesUpAfterMaxAttempts(t *testing.T) {
-	cat, q, dm := workload.Example11()
-	svc := New(cat, Config{Retry: RetryConfig{MaxAttempts: 3, BaseBackoff: time.Microsecond}})
-	var calls atomic.Int64
-	svc.runner = func(ctx context.Context, q *query.SPJ, req Request, rung Rung) (*lec.Decision, error) {
-		calls.Add(1)
-		return nil, fmt.Errorf("%w: still transient", lec.ErrBudgetExhausted)
-	}
-	_, err := svc.Optimize(context.Background(), Request{Query: q, Env: lec.Environment{Memory: dm}})
+	_, err := svc.Optimize(context.Background(), Request{Query: q, Env: lec.Environment{Memory: dm}, Strategy: lec.AlgorithmC})
 	if !errors.Is(err, lec.ErrBudgetExhausted) {
 		t.Fatalf("error = %v, want ErrBudgetExhausted", err)
 	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("attempts = %d, want 3", got)
+	if got := calls.Load(); got != 1 {
+		t.Errorf("engine runs = %d, want 1", got)
 	}
 }
 

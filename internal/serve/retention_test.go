@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -87,10 +88,7 @@ func TestServiceRetentionBounded(t *testing.T) {
 // while the registry stays within its bound plus those open breakers.
 func TestBreakerEvictionSparesFailingBreakers(t *testing.T) {
 	cat, reqs := distinctRequests(t, 12, 4+3*minBreakers)
-	svc := New(cat, Config{
-		CacheCapacity: -1, // every request reaches its breaker
-		Breaker:       BreakerConfig{FailureThreshold: 1},
-	})
+	svc := New(cat, Config{CacheCapacity: -1}) // every request reaches its breaker
 	failing := map[*stats.Dist]bool{}
 	sick := reqs[:4]
 	real := svc.runner
@@ -106,6 +104,11 @@ func TestBreakerEvictionSparesFailingBreakers(t *testing.T) {
 			t.Fatal(err)
 		}
 		failing[r.Env.Memory] = true
+		for i := 1; i < breakerThreshold; i++ {
+			if _, err := svc.Optimize(ctx, r); !errors.Is(err, lec.ErrInternal) {
+				t.Fatalf("failure %d = %v, want ErrInternal", i, err)
+			}
+		}
 		r2, err := svc.Optimize(ctx, r)
 		if err != nil || !r2.Pinned {
 			t.Fatalf("tripping request: %v, pinned=%v", err, r2 != nil && r2.Pinned)

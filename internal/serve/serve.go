@@ -3,7 +3,7 @@
 // hammered by many clients at once without stampeding the dynamic program,
 // queueing without bound, or serving stale plans after the catalog changes.
 //
-// A Service composes four mechanisms, each its own file:
+// A Service composes three mechanisms, each its own file:
 //
 //   - a sharded, single-flight plan cache keyed by the exact request spec
 //     (strategy, canonical query, selectivities, environment; spec.go) and
@@ -17,8 +17,6 @@
 //     grows — serving deliberately degraded anytime plans, reusing the
 //     engine's degradation ladder — and only then sheds with a typed
 //     ErrOverloaded carrying a retry-after hint;
-//   - retry with jittered exponential backoff for transient failures
-//     (retry.go);
 //   - a circuit breaker around misbehaving coster configurations
 //     (breaker.go): repeated internal failures pin requests to the last
 //     good plan until a half-open probe succeeds.
@@ -81,13 +79,6 @@ type Config struct {
 	CacheCapacity int
 	// CacheShards is the number of cache shards. Default 8.
 	CacheShards int
-	// Retry tunes transient-failure retries.
-	Retry RetryConfig
-	// Breaker tunes the per-configuration circuit breaker.
-	Breaker BreakerConfig
-	// RetryAfterHint is the per-queued-request unit used to size the
-	// retry-after hint on shed responses. Default 25ms.
-	RetryAfterHint time.Duration
 	// Metrics, when non-nil, receives the service's instrument family
 	// (lec_serve_*) plus live admission gauges, and — unless Options.Metrics
 	// is already set — the engine's lec_opt_* bundle. Nil disables metrics
@@ -114,11 +105,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheShards <= 0 {
 		c.CacheShards = 8
 	}
-	if c.RetryAfterHint <= 0 {
-		c.RetryAfterHint = 25 * time.Millisecond
-	}
-	c.Retry = c.Retry.withDefaults()
-	c.Breaker = c.Breaker.withDefaults()
 	return c
 }
 
@@ -192,7 +178,6 @@ type Service struct {
 	sem      chan struct{} // worker slots
 	queue    chan struct{} // waiting slots
 	breakers breakerSet
-	backoff  *jitter
 
 	draining atomic.Bool
 	clock    func() time.Time // stubbed in breaker tests
@@ -210,9 +195,9 @@ type counters struct {
 	requests         atomic.Int64
 	optimizations    atomic.Int64 // actual engine runs executed
 	shed             atomic.Int64
-	pressureDegraded atomic.Int64 // responses admitted at a non-zero rung
-	retries          atomic.Int64
+	pressureDegraded atomic.Int64 // leader runs admitted at a non-zero rung
 	pinnedServes     atomic.Int64
+	degraded         atomic.Int64 // engine runs with a degraded decision
 
 	searchMu sync.Mutex
 	search   opt.Stats // cumulative engine counters across runs
@@ -239,7 +224,6 @@ func New(cat *catalog.Catalog, cfg Config) *Service {
 	}
 	s.breakers.m = make(map[string]*list.Element)
 	s.breakers.limit = max(cfg.CacheCapacity, minBreakers)
-	s.backoff = newJitter(cfg.Retry.Seed)
 	s.runner = s.run
 	s.m = newServeMetrics(cfg.Metrics, s)
 	return s
@@ -336,7 +320,7 @@ func (s *Service) Optimize(ctx context.Context, req Request) (*Response, error) 
 	}
 	t0 := time.Now()
 	resp, err := s.optimize(ctx, req)
-	s.m.observeOptimize(time.Since(t0), resp, err)
+	s.m.optimizeSeconds.Observe(time.Since(t0).Seconds())
 	return resp, err
 }
 
@@ -363,7 +347,7 @@ func (s *Service) optimize(ctx context.Context, req Request) (*Response, error) 
 }
 
 // optimizeLeader is the single-flight winner's path: admission, breaker,
-// retry, engine run. Its Response is shared with every coalesced follower
+// engine run. Its Response is shared with every coalesced follower
 // and, when cacheable, stored under the request key. The breaker is keyed
 // by the generation-free request key.
 func (s *Service) optimizeLeader(ctx context.Context, q *query.SPJ, canon string, req Request, bkey string) (*Response, error) {
@@ -375,7 +359,7 @@ func (s *Service) optimizeLeader(ctx context.Context, q *query.SPJ, canon string
 
 	br := s.breakers.get(bkey)
 	now := s.clock()
-	admitted, pinned := br.allow(now, s.cfg.Breaker)
+	admitted, pinned := br.allow(now)
 	if !admitted {
 		if pinned != nil {
 			s.c.pinnedServes.Add(1)
@@ -384,14 +368,14 @@ func (s *Service) optimizeLeader(ctx context.Context, q *query.SPJ, canon string
 		return nil, fmt.Errorf("%w (strategy %s, query %q)", ErrCircuitOpen, req.Strategy, canon)
 	}
 
-	dec, err := s.runWithRetry(ctx, q, req, rung)
+	dec, err := s.runner(ctx, q, req, rung)
 	if err != nil {
 		if errors.Is(err, lec.ErrInternal) {
-			if br.fail(s.clock(), s.cfg.Breaker) {
+			if br.fail(s.clock()) {
 				s.breakers.trips.Add(1)
 			}
 			// A freshly opened breaker can still pin this request.
-			if _, pinned := br.allow(s.clock(), s.cfg.Breaker); pinned != nil {
+			if _, pinned := br.allow(s.clock()); pinned != nil {
 				s.c.pinnedServes.Add(1)
 				return &Response{Decision: pinned, Pinned: true, Pressure: rung.Name}, nil
 			}
@@ -453,8 +437,9 @@ func first(ds []*lec.Decision) *lec.Decision {
 // Compare and Trace. It runs call on an optimizer built under the catalog
 // read lock, after the serve/optimize fault site, with the rung's budget
 // and tier folded into the configured options and tune, when set, applied
-// last. It counts the run, adds every returned decision's engine counters
-// to the service's, and turns a worker panic (injected ones included) into
+// last. It counts the run (and, when any returned decision degraded, one
+// degraded run), adds every returned decision's engine counters to the
+// service's, and turns a worker panic (injected ones included) into
 // lec.ErrInternal so the breaker and the daemon's status mapping see it.
 func (s *Service) engine(ctx context.Context, q *query.SPJ, req Request, rung Rung, tune func(*lec.Options), call engineCall) (ds []*lec.Decision, err error) {
 	defer func() {
@@ -473,13 +458,18 @@ func (s *Service) engine(ctx context.Context, q *query.SPJ, req Request, rung Ru
 	}
 	s.c.optimizations.Add(1)
 	ds, err = call(ctx, lec.NewWithOptions(s.cat, opts), q, req)
+	degraded := false
 	s.c.searchMu.Lock()
 	for _, d := range ds {
 		if d != nil {
 			s.c.search.Add(d.Stats)
+			degraded = degraded || d.Degraded
 		}
 	}
 	s.c.searchMu.Unlock()
+	if degraded {
+		s.c.degraded.Add(1)
+	}
 	return ds, err
 }
 
@@ -515,7 +505,7 @@ func (s *Service) Compare(ctx context.Context, req Request) ([]*lec.Decision, er
 	}
 	t0 := time.Now()
 	ds, err := s.compare(ctx, req)
-	s.m.observeRun(s.m.compareSeconds, time.Since(t0), anyDegraded(ds), err)
+	s.m.compareSeconds.Observe(time.Since(t0).Seconds())
 	return ds, err
 }
 
@@ -535,7 +525,7 @@ func (s *Service) Trace(ctx context.Context, req Request) (*lec.Decision, error)
 	}
 	t0 := time.Now()
 	dec, err := s.traceRun(ctx, req)
-	s.m.observeRun(s.m.traceSeconds, time.Since(t0), dec != nil && dec.Degraded, err)
+	s.m.traceSeconds.Observe(time.Since(t0).Seconds())
 	return dec, err
 }
 
@@ -655,7 +645,8 @@ func (s *Service) Canonicalize(req Request) (Request, string, error) {
 // Pressure reports the live admission queue depth and whether it has
 // reached the first pressure-ladder rung — the "this node is busy enough
 // to start degrading budgets" signal the fleet layer uses as its hedging
-// trigger.
+// trigger. The fleet also piggybacks the depth on every lookup reply, for
+// its /clusterz view of the peers.
 func (s *Service) Pressure() (depth int, pressured bool) {
 	depth = len(s.queue)
 	for _, r := range s.cfg.Ladder {
@@ -666,18 +657,10 @@ func (s *Service) Pressure() (depth int, pressured bool) {
 	return depth, false
 }
 
-// QueueState reports the live admission queue as (depth, capacity,
-// pressured). The fleet layer piggybacks the depth on every lookup reply
-// so peers can hedge on the owner's actual load instead of only a fixed
-// delay.
-func (s *Service) QueueState() (depth, capacity int, pressured bool) {
-	depth, pressured = s.Pressure()
-	return depth, cap(s.queue), pressured
-}
-
 // Stats is a point-in-time snapshot of the service counters.
 type Stats struct {
-	// Requests counts every Optimize/Compare call accepted or not.
+	// Requests counts every Optimize, Compare and Trace call, accepted or
+	// not.
 	Requests int64
 	// Optimizations counts actual engine runs (cache hits, coalesced
 	// waits, pinned serves, and shed requests run zero).
@@ -686,13 +669,15 @@ type Stats struct {
 	CacheHits, CacheMisses, Coalesced, Evictions, Invalidations int64
 	// Shed counts requests rejected with ErrOverloaded.
 	Shed int64
-	// PressureDegraded counts responses served under a tightened budget.
+	// PressureDegraded counts Optimize leader runs served under a
+	// tightened pressure-ladder budget.
 	PressureDegraded int64
-	// Retries counts backoff retries of transient failures.
-	Retries int64
 	// BreakerTrips / BreakerResets / PinnedServes are the circuit-breaker
 	// counters.
 	BreakerTrips, BreakerResets, PinnedServes int64
+	// Degraded counts engine runs (Optimize leaders, Compare, Trace) that
+	// returned a decision from the engine's degradation ladder.
+	Degraded int64
 	// InFlight and QueueDepth are live gauges of the admission state.
 	InFlight, QueueDepth int
 	// Generation is the current catalog generation.
@@ -715,8 +700,8 @@ func (s *Service) Stats() Stats {
 		Optimizations:    s.c.optimizations.Load(),
 		Shed:             s.c.shed.Load(),
 		PressureDegraded: s.c.pressureDegraded.Load(),
-		Retries:          s.c.retries.Load(),
 		PinnedServes:     s.c.pinnedServes.Load(),
+		Degraded:         s.c.degraded.Load(),
 		InFlight:         len(s.sem),
 		QueueDepth:       len(s.queue),
 		Generation:       s.gen.Load(),

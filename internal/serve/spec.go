@@ -74,7 +74,7 @@ func requestKey(q *query.SPJ, canon string, s lec.Strategy, env lec.Environment)
 // keeps every bit of the sender's. Canonicalizing the result against a
 // catalog that binds the SQL alike yields the same key again.
 func DecodeKey(key string) (Request, error) {
-	d := wire.NewDecoder([]byte(key))
+	d := wire.NewStringDecoder(key)
 	req := Request{Strategy: lec.Strategy(d.Int()), SQL: d.Str()}
 	req.JoinSels = d.F64s()
 	req.SelectionSels = d.F64s()

@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"unsafe"
 )
 
 var (
@@ -82,6 +83,12 @@ type Decoder struct {
 
 // NewDecoder returns a decoder over data.
 func NewDecoder(data []byte) Decoder { return Decoder{rest: data} }
+
+// NewStringDecoder returns a decoder over the bytes of s, without copying
+// them: a Decoder never writes to its input, and copies out what it keeps.
+func NewStringDecoder(s string) Decoder {
+	return Decoder{rest: unsafe.Slice(unsafe.StringData(s), len(s))}
+}
 
 // Fail records err unless an earlier error is already recorded, and stops
 // decoding.

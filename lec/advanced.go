@@ -1,6 +1,7 @@
 package lec
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -19,28 +20,18 @@ import (
 // programming with risk parameter gamma > 0 (larger = more risk-averse),
 // under a per-phase-independent reading of the environment's memory
 // distribution. Use when worst-case latency matters more than the mean;
-// gamma → 0 recovers the LEC plan.
+// gamma → 0 recovers the LEC plan. Under a Markov chain each phase takes
+// its marginal memory distribution (opt.PhaseDistsFor), independently of
+// the others. The Decision reports AlgorithmC, whose DP this is a
+// risk-adjusted variant of.
 func (o *Optimizer) OptimizeRiskAverse(q *query.SPJ, env Environment, gamma float64) (*Decision, error) {
-	if err := env.validate(); err != nil {
-		return nil, err
-	}
-	phases := []*stats.Dist{env.Memory}
-	if env.Chain != nil {
-		phases = opt.PhaseDistsFor(q, env.Chain, env.Memory)
-	}
-	res, err := opt.ExpUtilityDP(o.cat, q, o.opts, phases, gamma)
-	if err != nil {
-		return nil, err
-	}
-	p := plan.Detach(res.Plan)
-	return &Decision{
-		Strategy:     AlgorithmC, // risk-adjusted variant of the LEC DP
-		Plan:         p,
-		ExpectedCost: o.expectedCost(p, q, env),
-		Risk:         opt.NewRiskProfile(p, env.Memory),
-		Query:        q,
-		env:          env,
-	}, nil
+	return o.pooledRun(context.Background(), q, env, AlgorithmC, func(q *query.SPJ, env Environment) opt.Config {
+		phases := []*stats.Dist{env.Memory}
+		if env.Chain != nil {
+			phases = opt.PhaseDistsFor(q, env.Chain, env.Memory)
+		}
+		return opt.Config{Coster: opt.PhasedParams{Phases: phases}, Objective: opt.ExponentialUtility{Gamma: gamma}}
+	})
 }
 
 // ValueOfInformation reports how much observing the true memory value

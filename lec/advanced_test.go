@@ -1,9 +1,13 @@
 package lec
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/opt"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -31,6 +35,40 @@ func TestOptimizeRiskAverse(t *testing.T) {
 	env.Chain = stats.IdentityChain(dm.Support())
 	if _, err := o.OptimizeRiskAverse(q, env, 1e-6); err != nil {
 		t.Errorf("dynamic risk-averse: %v", err)
+	}
+}
+
+// TestOptimizeRiskAverseMatchesEngine: OptimizeRiskAverse takes the
+// facade's run path — a nil query is an input error, and the Decision
+// carries the engine's counters and degradation — and plans exactly as a
+// direct exponential-utility engine run over the per-phase marginals
+// (opt.PhaseDistsFor under a chain, not the Markov coster).
+func TestOptimizeRiskAverseMatchesEngine(t *testing.T) {
+	const gamma = 1e-6
+	o, _, env := robustInstance(t, 9301, 0)
+	if _, err := o.OptimizeRiskAverse(nil, env, gamma); !errors.Is(err, ErrInvalidQuery) {
+		t.Fatalf("nil query: error %v, want ErrInvalidQuery", err)
+	}
+	for ci, c := range dispatchConditions {
+		if c.cancel || c.groupBy {
+			continue // no context to cancel; GROUP BY is covered by OptimizeSearch's core
+		}
+		for _, seed := range []int64{9301, 9302} {
+			seed += int64(10 * ci)
+			_, o, q, env := c.setup(t, seed)
+			d, derr := o.OptimizeRiskAverse(q, env, gamma)
+			phases := []*stats.Dist{env.Memory}
+			if env.Chain != nil {
+				phases = opt.PhaseDistsFor(q, env.Chain, env.Memory)
+			}
+			cfg := opt.Config{Coster: opt.PhasedParams{Phases: phases}, Objective: opt.ExponentialUtility{Gamma: gamma}}
+			ref, rerr := directSearch(context.Background(), o, q, cfg)
+			label := fmt.Sprintf("%s/%d", c.name, seed)
+			compareRuns(t, label, d, derr, ref, rerr, q, env, c.degrades)
+			if derr == nil && d.Stats.CostEvals == 0 {
+				t.Errorf("%s: Decision.Stats has no cost evaluations", label)
+			}
+		}
 	}
 }
 

@@ -240,20 +240,24 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, q *query.SPJ, env Envir
 	return o.pooledRun(ctx, q, env, s, nil)
 }
 
+// configFor picks the engine Config of one run from its validated query and
+// environment.
+type configFor func(q *query.SPJ, env Environment) opt.Config
+
 // pooledRun is run on pooled session scratch, returned to the pool once the
 // Decision's plan is detached (and dropped if the run failed).
-func (o *Optimizer) pooledRun(ctx context.Context, q *query.SPJ, env Environment, s Strategy, search *Search) (d *Decision, err error) {
+func (o *Optimizer) pooledRun(ctx context.Context, q *query.SPJ, env Environment, s Strategy, config configFor) (d *Decision, err error) {
 	rc, release := opt.Pooled(ctx)
 	defer func() { release(err == nil) }()
-	return o.run(rc, q, env, s, search)
+	return o.run(rc, q, env, s, config)
 }
 
 // run is the facade's one engine-run path: the panic bulkhead, environment
-// and query validation, the engine run, and the Decision. search is nil for
-// a named strategy; OptimizeSearch sets it and plans the block's SPJ core
-// under AlgorithmC's coster in the given Space × Objective. Under an
-// unpooled context every engine session allocates fresh scratch.
-func (o *Optimizer) run(ctx context.Context, q *query.SPJ, env Environment, s Strategy, search *Search) (d *Decision, err error) {
+// and query validation, the engine run, and the Decision. config is nil for
+// a named strategy; OptimizeSearch and OptimizeRiskAverse set it and plan
+// the block's SPJ core in one engine run under the Config it returns. Under
+// an unpooled context every engine session allocates fresh scratch.
+func (o *Optimizer) run(ctx context.Context, q *query.SPJ, env Environment, s Strategy, config configFor) (d *Decision, err error) {
 	defer recoverToInternal(&err)
 	if err := env.validate(); err != nil {
 		return nil, err
@@ -264,8 +268,8 @@ func (o *Optimizer) run(ctx context.Context, q *query.SPJ, env Environment, s St
 	if err := q.Validate(o.cat); err != nil {
 		return nil, classifyErr(err)
 	}
-	aggregate := search == nil && q.GroupBy != nil
-	res, err := o.dispatch(ctx, q, env, s, search, aggregate)
+	aggregate := config == nil && q.GroupBy != nil
+	res, err := o.dispatch(ctx, q, env, s, config, aggregate)
 	if err != nil {
 		return nil, classifyErr(err)
 	}
@@ -273,9 +277,9 @@ func (o *Optimizer) run(ctx context.Context, q *query.SPJ, env Environment, s St
 }
 
 // dispatch runs strategy s on the engine. GROUP BY blocks and Algorithms A
-// and B are candidate-pool searches; every other strategy, and
-// OptimizeSearch, is one engine run under engineConfig's Config.
-func (o *Optimizer) dispatch(ctx context.Context, q *query.SPJ, env Environment, s Strategy, search *Search, aggregate bool) (*opt.Result, error) {
+// and B are candidate-pool searches; every other strategy is one engine run
+// under engineConfig's Config, and a run with a config under its Config.
+func (o *Optimizer) dispatch(ctx context.Context, q *query.SPJ, env Environment, s Strategy, config configFor, aggregate bool) (*opt.Result, error) {
 	if s < LSCMean || s > AlgorithmD {
 		return nil, fmt.Errorf("lec: unknown strategy %v", s)
 	}
@@ -297,11 +301,13 @@ func (o *Optimizer) dispatch(ctx context.Context, q *query.SPJ, env Environment,
 	case s == AlgorithmB:
 		return opt.AlgorithmB(ctx, o.cat, q, o.opts, env.Memory)
 	}
-	var sp Search
-	if search != nil {
-		sp = *search
+	var cfg opt.Config
+	if config != nil {
+		cfg = config(q, env)
+	} else {
+		cfg = engineConfig(s, env, Search{})
 	}
-	eng, err := opt.NewOptimizer(o.cat, q, o.opts, engineConfig(s, env, sp))
+	eng, err := opt.NewOptimizer(o.cat, q, o.opts, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -526,7 +532,9 @@ func (o *Optimizer) OptimizeSearch(q *query.SPJ, env Environment, search Search)
 // budget, with the same fail-soft contract and session pooling as
 // OptimizeContext.
 func (o *Optimizer) OptimizeSearchContext(ctx context.Context, q *query.SPJ, env Environment, search Search) (*Decision, error) {
-	return o.pooledRun(ctx, q, env, AlgorithmC, &search)
+	return o.pooledRun(ctx, q, env, AlgorithmC, func(_ *query.SPJ, env Environment) opt.Config {
+		return engineConfig(AlgorithmC, env, search)
+	})
 }
 
 // Compare optimizes the query under every strategy and returns the
