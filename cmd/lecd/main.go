@@ -126,7 +126,7 @@ func run(args []string, out, errOut io.Writer) error {
 	catalogPath := fs.String("catalog", "", "catalog description file")
 	workers := fs.Int("workers", 0, "concurrent optimizations (0 = GOMAXPROCS)")
 	enum := fs.String("enum", "exhaustive", "subset-lattice enumerator for every request: exhaustive|connected")
-	tier := fs.String("tier", "dp", "planning tier: dp (always full search), auto (greedy fast path with risk-triggered escalation), greedy (never escalate)")
+	tier := fs.String("tier", "dp", "planning tier: dp (always full search), auto (greedy fast path served within a 2% expected-cost bound of the optimum, DP otherwise), greedy (never escalate)")
 	queue := fs.Int("queue", 0, "queued requests beyond workers before shedding (0 = default 64)")
 	cache := fs.Int("cache", 0, "plan cache capacity (0 = default 512, negative disables)")
 	timeout := fs.Duration("timeout", 5*time.Second, "default per-request optimization deadline")

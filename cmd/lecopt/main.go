@@ -105,7 +105,7 @@ func run(args []string, out, errOut io.Writer) error {
 	timeout := fs.Duration("timeout", 0, "optimization deadline; on expiry a degraded fallback plan is returned (0 = none)")
 	budget := fs.Int("budget", 0, "max cost-formula evaluations per optimization; on exhaustion a degraded fallback plan is returned (0 = unlimited)")
 	enum := fs.String("enum", "exhaustive", "subset-lattice enumerator: exhaustive|connected (connected skips cross-join subsets; falls back to exhaustive on disconnected join graphs)")
-	tier := fs.String("tier", "dp", "planning tier: dp (always full search), auto (greedy fast path with risk-triggered escalation to the DP), greedy (serve the fast path unconditionally)")
+	tier := fs.String("tier", "dp", "planning tier: dp (always full search), auto (greedy fast path served within a 2% expected-cost bound of the optimum, DP otherwise), greedy (serve the fast path unconditionally)")
 	fs.Usage = func() {
 		fmt.Fprintf(errOut, "usage: lecopt (-demo | -catalog <file>) [flags]\n\nflags:\n")
 		fs.PrintDefaults()

@@ -355,7 +355,7 @@ func (n *Node) localOnly(ctx context.Context, req serve.Request, key string) (*R
 func (n *Node) ownerPath(ctx context.Context, req serve.Request, key string, rest []candidate, skipped int) (*Reply, error) {
 	if n.cfg.HedgeDelay > 0 && len(rest) > 0 {
 		if _, pressured := n.svc.Pressure(); pressured {
-			rep, err := n.race(ctx, req, key, true, rest, true)
+			rep, err := n.race(ctx, req, key, true, rest)
 			if rep != nil {
 				rep.SuspectsSkipped = skipped
 			}
@@ -374,7 +374,7 @@ func (n *Node) ownerPath(ctx context.Context, req serve.Request, key string, res
 // after HedgeDelay, local fallback).
 func (n *Node) remotePath(ctx context.Context, req serve.Request, key string, cands []candidate, skipped int) (*Reply, error) {
 	r, coalesced, err := n.flights.Do(ctx, key, func() (*Reply, error) {
-		rep, rerr := n.race(ctx, req, key, false, cands, false)
+		rep, rerr := n.race(ctx, req, key, false, cands)
 		if rep != nil {
 			// Recorded before the single-flight publishes the reply:
 			// coalesced followers copy it concurrently.
@@ -404,9 +404,11 @@ type branchOut struct {
 // branches drawn from the rest of the chain. First success wins and
 // cancels the losers; a failed branch immediately launches the next
 // *replica* candidate (failover) while the hedge timer may launch any
-// next candidate, or this node itself, once. If every branch fails the
-// request falls back to a local run.
-func (n *Node) race(ctx context.Context, req serve.Request, key string, localPrimary bool, cands []candidate, immediateHedge bool) (*Reply, error) {
+// next candidate, or this node itself, once. The hedge fires at once when
+// the local branch is primary (ownerPath races only under queue pressure)
+// and after HedgeDelay otherwise. If every branch fails the request falls
+// back to a local run.
+func (n *Node) race(ctx context.Context, req serve.Request, key string, localPrimary bool, cands []candidate) (*Reply, error) {
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	out := make(chan branchOut, len(cands)+2)
@@ -427,7 +429,7 @@ func (n *Node) race(ctx context.Context, req serve.Request, key string, localPri
 
 	hedgeable := n.cfg.HedgeDelay > 0 && (next < len(cands) || !localLaunched)
 	var hedgeC <-chan time.Time
-	if hedgeable && !immediateHedge {
+	if hedgeable && !localPrimary {
 		timer := time.NewTimer(n.cfg.HedgeDelay)
 		defer timer.Stop()
 		hedgeC = timer.C
@@ -447,7 +449,7 @@ func (n *Node) race(ctx context.Context, req serve.Request, key string, localPri
 			go n.localBranch(rctx, req, key, true, out)
 		}
 	}
-	if hedgeable && immediateHedge {
+	if hedgeable && localPrimary {
 		launchHedge()
 	}
 

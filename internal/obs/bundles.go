@@ -56,8 +56,6 @@ type TierMetrics struct {
 	// Per-reason escalation counters (see opt's tier reason strings).
 	EscalationForced      *Counter
 	EscalationGap         *Counter
-	EscalationVariance    *Counter
-	EscalationLevelSet    *Counter
 	EscalationObjective   *Counter
 	EscalationFault       *Counter
 	EscalationUnplannable *Counter
@@ -81,8 +79,6 @@ func newTierMetrics(reg *Registry, phase []float64) *TierMetrics {
 		Escalations:           reg.Counter("lec_tier_escalations_total", "Optimizations escalated from the greedy tier that ended on the DP."),
 		EscalationForced:      reg.Counter("lec_tier_escalation_forced_total", "Escalations forced by configuration (tier pinned to dp)."),
 		EscalationGap:         reg.Counter("lec_tier_escalation_gap_total", "Escalations triggered by the expected-cost gap vs the lower bound."),
-		EscalationVariance:    reg.Counter("lec_tier_escalation_variance_total", "Escalations triggered by the greedy plan's cost variance."),
-		EscalationLevelSet:    reg.Counter("lec_tier_escalation_levelset_total", "Escalations triggered by probability mass near a cost level-set boundary."),
 		EscalationObjective:   reg.Counter("lec_tier_escalation_objective_total", "Escalations because the configured objective/coster has no greedy scoring."),
 		EscalationFault:       reg.Counter("lec_tier_escalation_fault_total", "Escalations because the greedy planner faulted (panic, NaN/Inf, cancellation)."),
 		EscalationUnplannable: reg.Counter("lec_tier_escalation_unplannable_total", "Escalations because the greedy planner found no admissible plan."),

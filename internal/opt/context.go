@@ -97,13 +97,11 @@ type Options struct {
 	Enumeration Enumeration
 	// Tier selects the tiered-planning mode (see tier.go): TierDP (the zero
 	// value — always run the configured DP search), TierAuto (serve the
-	// greedy fast path when its risk signals clear the TierRisk thresholds,
-	// escalate to the DP otherwise), or TierGreedy (pin planning to the
-	// greedy tier; the DP runs only on greedy faults).
+	// greedy fast path when its expected cost is provably within
+	// DefaultTierMaxGap of the optimum, escalate to the DP otherwise), or
+	// TierGreedy (pin planning to the greedy tier; the DP runs only on
+	// greedy faults).
 	Tier Tier
-	// TierRisk sets the escalation thresholds TierAuto applies; zero fields
-	// take the Default* values in tier.go.
-	TierRisk TierRisk
 }
 
 // DefaultBudget is the default Algorithm D rebucketing budget.

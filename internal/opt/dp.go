@@ -42,10 +42,10 @@ type Result struct {
 	// served fast path, TierNameDP after an escalation. Empty when the tier
 	// controller did not run.
 	Tier string
-	// TierReason says why that tier answered: "low-risk"/"forced"/
-	// "certified" for a served greedy plan, or the escalation trigger
-	// ("gap", "variance", "level-set", "objective", "fault", "unplannable")
-	// for a DP run.
+	// TierReason says why that tier answered: "low-risk" (the LB_1 gap was
+	// within DefaultTierMaxGap), "forced" or "certified" for a served greedy
+	// plan, or the escalation trigger ("gap", "objective", "fault",
+	// "unplannable") for a DP run.
 	TierReason string
 	// TierGap is the greedy plan's relative expected-cost gap vs an
 	// admissible lower bound (greedy/LB − 1), when it was computed: LB_1

@@ -42,9 +42,6 @@ type Budget struct {
 	MaxSubsets int
 }
 
-// Unlimited reports whether the budget imposes no bound.
-func (b Budget) Unlimited() bool { return b.MaxCostEvals <= 0 && b.MaxSubsets <= 0 }
-
 // DegradeReason says why a Result is degraded.
 type DegradeReason int
 
@@ -452,7 +449,7 @@ func (o *Optimizer) fallbackGuarded() (res *Result, err error) {
 // complete level, so a degraded plan carries a checked bound on how far
 // from the optimum it can be.
 func (o *Optimizer) runGreedy() (*Result, error) {
-	gp, err := o.greedyPlan(o.phaseDists(), o.ctx.Opts.TierRisk.normalize())
+	gp, err := o.greedyPlan(o.phaseDists())
 	if err != nil {
 		return nil, err
 	}

@@ -16,14 +16,15 @@ import (
 )
 
 // This file is the engine's tiered-planning layer: a sub-100µs greedy
-// join-ordering planner as rung zero of the optimizer, with a risk-triggered
+// join-ordering planner as rung zero of the optimizer, with a gap-triggered
 // escalation to the full LEC dynamic program. It is the degradation ladder
 // of failsoft.go run in reverse: instead of starting with the DP and falling
 // back to greedy under pressure, the tier controller starts with greedy and
-// climbs to the DP only when the LEC machinery's own risk signals — the
-// expected-cost gap against an admissible lower bound, the greedy plan's
-// cost variance, and probability mass near a cost level-set boundary — say
-// the cheap plan cannot be trusted.
+// climbs to the DP only when the greedy plan's expected cost is not provably
+// within DefaultTierMaxGap of the optimum. That bound is the gate's one
+// rule: LEC minimizes expected cost, so the only guarantee worth serving is
+// one on expected cost (risk-averse objectives have no greedy scoring and
+// escalate with reason "objective").
 //
 // The gap is checked against a bound that tightens as the left-deep DP
 // climbs. Before the DP, LB_1 is the cheapest access path of every relation
@@ -35,15 +36,16 @@ import (
 // is admissible too: every left-deep plan has exactly one k-relation
 // prefix, occupying join phases 0..k−2 exactly as the DP priced OPT(S), and
 // every relation outside it is scanned once and joined once as a fresh
-// inner. A greedy plan that fails only the gap check arms a certificate;
-// runLeftDeep serves it with reason "certified" at the first complete level
-// where greedy ≤ (1+MaxGap)·LB_k, and otherwise the DP finishes as usual.
+// inner. A left-deep greedy plan that fails the LB_1 check arms a
+// certificate; runLeftDeep serves it with reason "certified" at the first
+// complete level where greedy ≤ (1+DefaultTierMaxGap)·LB_k, and otherwise
+// the DP finishes as usual.
 //
 // The greedy planner prices steps with the same expected-cost arithmetic as
 // plan.ExpCostPhased (sums over the phase distribution's support), so a
 // served greedy plan's Result.Cost is exactly what re-scoring the plan under
-// the active coster would report: the gap bound G ≤ (1+MaxGap)·LB ≤
-// (1+MaxGap)·OPT is a real guarantee, not an estimate of one.
+// the active coster would report: the gap bound G ≤ (1+DefaultTierMaxGap)·LB
+// ≤ (1+DefaultTierMaxGap)·OPT is a real guarantee, not an estimate of one.
 
 // Tier selects the tiered-planning mode. The zero value (TierDP) runs the
 // configured DP search unconditionally — existing behavior. The ordering is
@@ -55,8 +57,8 @@ type Tier int
 const (
 	// TierDP always runs the configured DP search (the default).
 	TierDP Tier = iota
-	// TierAuto serves the greedy tier when its risk signals are below the
-	// TierRisk thresholds and escalates to the DP otherwise.
+	// TierAuto serves the greedy tier when its plan is provably within
+	// DefaultTierMaxGap of the optimum and escalates to the DP otherwise.
 	TierAuto
 	// TierGreedy pins planning to the greedy tier; the DP runs only when the
 	// greedy planner faults or the configuration has no greedy scoring.
@@ -91,50 +93,11 @@ func ParseTier(s string) (Tier, error) {
 	}
 }
 
-// TierRisk configures when TierAuto trusts the greedy tier. Zero fields take
-// the Default* values below.
-type TierRisk struct {
-	// MaxGap bounds the relative expected-cost gap of the greedy plan vs an
-	// admissible lower bound: serve only if greedy ≤ (1+MaxGap)·LB, for LB
-	// the gate's LB_1 or the LB_k of a complete left-deep DP level, which
-	// implies greedy ≤ (1+MaxGap)·OPT.
-	MaxGap float64
-	// MaxCV bounds the greedy plan's cost coefficient of variation
-	// (√Var[Φ]/E[Φ] with per-phase variances summed).
-	MaxCV float64
-	// BoundaryMargin is the relative distance to a cost level-set boundary
-	// within which a memory support point counts as "near" it.
-	BoundaryMargin float64
-	// BoundaryMass bounds the probability mass near a boundary: if any
-	// greedy step puts more than this mass within BoundaryMargin of one of
-	// its cost breakpoints, the step's cost is a coin flip and the DP runs.
-	BoundaryMass float64
-}
-
-// Default TierRisk thresholds.
-const (
-	DefaultTierMaxGap         = 0.02
-	DefaultTierMaxCV          = 0.5
-	DefaultTierBoundaryMargin = 0.1
-	DefaultTierBoundaryMass   = 0.25
-)
-
-// normalize fills defaulted thresholds.
-func (r TierRisk) normalize() TierRisk {
-	if r.MaxGap <= 0 {
-		r.MaxGap = DefaultTierMaxGap
-	}
-	if r.MaxCV <= 0 {
-		r.MaxCV = DefaultTierMaxCV
-	}
-	if r.BoundaryMargin <= 0 {
-		r.BoundaryMargin = DefaultTierBoundaryMargin
-	}
-	if r.BoundaryMass <= 0 {
-		r.BoundaryMass = DefaultTierBoundaryMass
-	}
-	return r
-}
+// DefaultTierMaxGap bounds the relative expected-cost gap of a greedy plan
+// TierAuto serves: greedy ≤ (1+DefaultTierMaxGap)·LB, for LB the gate's LB_1
+// or the LB_k of a complete left-deep DP level, which implies greedy ≤
+// (1+DefaultTierMaxGap)·OPT.
+const DefaultTierMaxGap = 0.02
 
 // Tier names recorded on Result.Tier.
 const (
@@ -147,7 +110,8 @@ const (
 // Tier reasons recorded on Result.TierReason: why the greedy tier served,
 // or why the run escalated to the DP.
 const (
-	// TierLowRisk: every risk signal was under its threshold.
+	// TierLowRisk: the greedy plan's gap against LB_1 was within
+	// DefaultTierMaxGap.
 	TierLowRisk = "low-risk"
 	// TierForced: the tier was pinned by configuration (TierGreedy).
 	TierForced = "forced"
@@ -155,12 +119,9 @@ const (
 	// a complete left-deep DP level's LB_k cleared it, so the DP stopped
 	// there.
 	TierCertified = "certified"
-	// TierEscGap: the expected-cost gap vs the lower bound exceeded MaxGap.
+	// TierEscGap: no lower bound brought the greedy plan's expected-cost gap
+	// within DefaultTierMaxGap.
 	TierEscGap = "gap"
-	// TierEscVariance: the cost coefficient of variation exceeded MaxCV.
-	TierEscVariance = "variance"
-	// TierEscLevelSet: too much probability mass near a level-set boundary.
-	TierEscLevelSet = "level-set"
 	// TierEscObjective: the configured objective or coster has no greedy
 	// scoring (risk objectives; Algorithm D's multi-parameter coster under
 	// TierAuto).
@@ -189,10 +150,8 @@ type tierState struct {
 
 // tierPlan is one greedy planning attempt's output.
 type tierPlan struct {
-	node     plan.Node
-	cost     float64 // expected total cost under the phase distributions
-	variance float64 // summed per-step cost variance
-	boundary float64 // max per-step probability mass near a breakpoint
+	node plan.Node
+	cost float64 // expected total cost under the phase distributions
 }
 
 // tierDistAt indexes the phase distributions with plan.ExpCostPhased's
@@ -208,26 +167,23 @@ func tierDistAt(phases []*stats.Dist, i int) *stats.Dist {
 }
 
 // tierCert is the gap certificate a greedy plan carries into the left-deep
-// DP when it failed only the gap check: the plan, the per-relation weights
-// w_j = scan_j + floor_j that turn a complete level into LB_k, and the gap
-// threshold. armed is cleared when a level certifies the plan or when the
-// run ends on the DP.
+// DP when it failed the LB_1 gap check: the plan and the per-relation
+// weights w_j = scan_j + floor_j that turn a complete level into LB_k. armed
+// is cleared when a level certifies the plan or when the run ends on the DP.
 type tierCert struct {
 	armed   bool
 	gp      tierPlan
 	weights []float64
-	maxGap  float64
 }
 
 // tierGate is the tier controller, invoked at the top of optimizeCtxInner
 // when Options.Tier is TierAuto or TierGreedy. It returns (result, true)
 // when the greedy tier serves; otherwise it records the escalation on
 // o.tier and returns (nil, false) so the DP runs. A left-deep plan that
-// fails only the gap check arms o.cert instead, and the DP may still serve
+// fails the LB_1 gap check arms o.cert instead, and the DP may still serve
 // it (runLeftDeep, tierCertify).
 func (o *Optimizer) tierGate() (*Result, bool) {
 	ctx := o.ctx
-	risk := ctx.Opts.TierRisk.normalize()
 
 	// The greedy probe touches O(n²) subsets; keep the size memos sparse
 	// for its duration so the fast path never pays the dense 2^n fill.
@@ -249,7 +205,7 @@ func (o *Optimizer) tierGate() (*Result, bool) {
 
 	phases := o.phaseDists()
 	t0 := time.Now()
-	gp, err := o.tierGreedyGuarded(phases, risk)
+	gp, err := o.tierGreedyGuarded(phases)
 	nanos := time.Since(t0).Nanoseconds()
 	if err != nil {
 		reason := TierEscUnplannable
@@ -266,26 +222,16 @@ func (o *Optimizer) tierGate() (*Result, bool) {
 	if ctx.Opts.Tier == TierGreedy {
 		return o.tierServe(gp, TierForced, gap, nanos), true
 	}
-	highCV := gp.cost > 0 && math.Sqrt(gp.variance)/gp.cost > risk.MaxCV
-	nearBoundary := gp.boundary > risk.BoundaryMass
 	switch {
-	case math.IsNaN(gap):
-		o.tierEscalate(TierEscGap, gap, gp.cost, nanos)
-	case gap > risk.MaxGap:
-		if highCV || nearBoundary || o.cfg.Space != SpaceLeftDeep {
-			o.tierEscalate(TierEscGap, gap, gp.cost, nanos)
-			break
-		}
-		// Only the gap failed: let the DP's complete levels try to
-		// certify the plan. Until one does, the run is a gap escalation.
-		o.tier = tierState{tier: TierNameDP, reason: TierEscGap, gap: gap, greedyCost: gp.cost, greedyNanos: nanos, dpStart: time.Now()}
-		o.cert = tierCert{armed: true, gp: gp, weights: weights, maxGap: risk.MaxGap}
-	case highCV:
-		o.tierEscalate(TierEscVariance, gap, gp.cost, nanos)
-	case nearBoundary:
-		o.tierEscalate(TierEscLevelSet, gap, gp.cost, nanos)
-	default:
+	case gap <= DefaultTierMaxGap:
 		return o.tierServe(gp, TierLowRisk, gap, nanos), true
+	case gap > DefaultTierMaxGap && o.cfg.Space == SpaceLeftDeep:
+		// Let the DP's complete levels try to certify the plan. Until one
+		// does, the run is a gap escalation.
+		o.tier = tierState{tier: TierNameDP, reason: TierEscGap, gap: gap, greedyCost: gp.cost, greedyNanos: nanos, dpStart: time.Now()}
+		o.cert = tierCert{armed: true, gp: gp, weights: weights}
+	default: // a NaN gap, or a space LB_k does not cover
+		o.tierEscalate(TierEscGap, gap, gp.cost, nanos)
 	}
 	return nil, false
 }
@@ -303,8 +249,8 @@ func tierGapOf(greedy, lb float64) float64 {
 }
 
 // clears reports whether a lower bound certifies the greedy plan:
-// greedy ≤ (1+MaxGap)·lb.
-func (c *tierCert) clears(lb float64) bool { return tierGapOf(c.gp.cost, lb) <= c.maxGap }
+// greedy ≤ (1+DefaultTierMaxGap)·lb.
+func (c *tierCert) clears(lb float64) bool { return tierGapOf(c.gp.cost, lb) <= DefaultTierMaxGap }
 
 // tierCertify closes a complete DP level below n. open reports that no
 // subset of the level pulled its running LB_k below the certificate (the
@@ -396,10 +342,6 @@ func (o *Optimizer) stampTier(res *Result) {
 		tm.EscalationForced.Inc()
 	case TierEscGap:
 		tm.EscalationGap.Inc()
-	case TierEscVariance:
-		tm.EscalationVariance.Inc()
-	case TierEscLevelSet:
-		tm.EscalationLevelSet.Inc()
 	case TierEscObjective:
 		tm.EscalationObjective.Inc()
 	case TierEscFault:
@@ -420,21 +362,21 @@ func (o *Optimizer) stampTier(res *Result) {
 // tierGreedyGuarded runs the greedy tier planner under its own recover: a
 // panic (a broken coster, or the tier/greedy fault-injection site) becomes
 // an errTierFault escalation instead of unwinding the request.
-func (o *Optimizer) tierGreedyGuarded(phases []*stats.Dist, risk TierRisk) (gp tierPlan, err error) {
+func (o *Optimizer) tierGreedyGuarded(phases []*stats.Dist) (gp tierPlan, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			o.ctx.Count.PanicsRecovered++
 			gp, err = tierPlan{}, fmt.Errorf("%w: recovered panic: %v", errTierFault, p)
 		}
 	}()
-	return o.tierGreedy(phases, risk)
+	return o.tierGreedy(phases)
 }
 
 // tierGreedy is the rung-zero planner: greedyPlan behind the tier's own
 // guards — the tier/greedy fault-injection site and the request-context
 // check. The fail-soft ladder's terminal rung calls greedyPlan directly,
 // since it must not fail on the faults that sent the run down the ladder.
-func (o *Optimizer) tierGreedy(phases []*stats.Dist, risk TierRisk) (tierPlan, error) {
+func (o *Optimizer) tierGreedy(phases []*stats.Dist) (tierPlan, error) {
 	switch faultinject.Check(faultinject.TierGreedy) {
 	case faultinject.KindNaN, faultinject.KindInf, faultinject.KindDrop:
 		return tierPlan{}, fmt.Errorf("%w: injected non-finite plan score", errTierFault)
@@ -446,7 +388,7 @@ func (o *Optimizer) tierGreedy(phases []*stats.Dist, risk TierRisk) (tierPlan, e
 			return tierPlan{}, fmt.Errorf("%w: %v", errTierFault, cerr)
 		}
 	}
-	return o.greedyPlan(phases, risk)
+	return o.greedyPlan(phases)
 }
 
 // greedyPlan is the engine's one greedy planner: left-deep join ordering by
@@ -461,7 +403,7 @@ func (o *Optimizer) tierGreedy(phases []*stats.Dist, risk TierRisk) (tierPlan, e
 // The returned cost equals plan.ExpCostPhased(node, phases) by linearity of
 // expectation: scans are priced at AccessCost, join k in expectation over
 // phases[k], and the final sort (if any) over the last join's phase.
-func (o *Optimizer) greedyPlan(phases []*stats.Dist, risk TierRisk) (tierPlan, error) {
+func (o *Optimizer) greedyPlan(phases []*stats.Dist) (tierPlan, error) {
 	ctx := o.ctx
 	n := ctx.Q.NumRels()
 	if n == 0 {
@@ -507,14 +449,11 @@ func (o *Optimizer) greedyPlan(phases []*stats.Dist, risk TierRisk) (tierPlan, e
 		scan := ctx.BestScan(bestJ)
 		d := tierDistAt(phases, used.Len()-1)
 		leftPages, rightPages := cur.OutPages(), scan.OutPages()
-		bestM, bestMean, bestVar := cost.Method(0), math.Inf(1), 0.0
+		bestM, bestMean := cost.Method(0), math.Inf(1)
 		for _, m := range ctx.Opts.Methods {
-			mean, meanSq := 0.0, 0.0
+			mean := 0.0
 			for i := 0; i < d.Len(); i++ {
-				c := cost.JoinCost(m, leftPages, rightPages, d.Value(i))
-				p := d.Prob(i)
-				mean += p * c
-				meanSq += p * c * c
+				mean += d.Prob(i) * cost.JoinCost(m, leftPages, rightPages, d.Value(i))
 			}
 			ctx.Count.CostEvals++
 			if math.IsNaN(mean) || math.IsInf(mean, 0) {
@@ -523,79 +462,36 @@ func (o *Optimizer) greedyPlan(phases []*stats.Dist, risk TierRisk) (tierPlan, e
 			}
 			if mean < bestMean {
 				bestM, bestMean = m, mean
-				if v := meanSq - mean*mean; v > 0 {
-					bestVar = v
-				} else {
-					bestVar = 0
-				}
 			}
 		}
 		if math.IsInf(bestMean, 1) {
 			return tierPlan{}, fmt.Errorf("%w: every join method's expected cost was non-finite", errTierFault)
 		}
-		if mass := tierBoundaryMass(d, cost.MemBreakpoints(bestM, leftPages, rightPages), risk.BoundaryMargin); mass > gp.boundary {
-			gp.boundary = mass
-		}
 		s := used.Add(bestJ)
 		cur = ctx.NewJoin(cur, scan, bestM, s, bestJ)
 		used = s
 		gp.cost += scan.AccessCost() + bestMean
-		gp.variance += bestVar
 	}
 
 	finished, added := ctx.FinishPlan(cur)
 	if added {
 		d := tierDistAt(phases, n-2)
 		pages := cur.OutPages()
-		mean, meanSq := 0.0, 0.0
+		mean := 0.0
 		for i := 0; i < d.Len(); i++ {
-			c := cost.SortCost(pages, d.Value(i))
-			p := d.Prob(i)
-			mean += p * c
-			meanSq += p * c * c
+			mean += d.Prob(i) * cost.SortCost(pages, d.Value(i))
 		}
 		ctx.Count.CostEvals++
 		if math.IsNaN(mean) || math.IsInf(mean, 0) {
 			return tierPlan{}, fmt.Errorf("%w: expected sort cost was non-finite", errTierFault)
 		}
 		gp.cost += mean
-		if v := meanSq - mean*mean; v > 0 {
-			gp.variance += v
-		}
-		if mass := tierBoundaryMass(d, cost.SortMemBreakpoints(pages), risk.BoundaryMargin); mass > gp.boundary {
-			gp.boundary = mass
-		}
 	}
 	gp.node = finished
 	if math.IsNaN(gp.cost) || math.IsInf(gp.cost, 0) {
 		return tierPlan{}, fmt.Errorf("%w: plan score was non-finite", errTierFault)
 	}
 	return gp, nil
-}
-
-// tierBoundaryMass sums the probability mass of support points within a
-// relative margin of any cost level-set boundary — the §3.7 observation run
-// in reverse: mass near a breakpoint means the step's cost is effectively a
-// coin flip, exactly where a point estimate (and hence a greedy commitment)
-// is least trustworthy.
-func tierBoundaryMass(d *stats.Dist, bps []float64, margin float64) float64 {
-	if len(bps) == 0 || margin <= 0 {
-		return 0
-	}
-	mass := 0.0
-	for i := 0; i < d.Len(); i++ {
-		v := d.Value(i)
-		for _, bp := range bps {
-			if bp <= 0 {
-				continue
-			}
-			if math.Abs(v-bp) <= margin*bp {
-				mass += d.Prob(i)
-				break
-			}
-		}
-	}
-	return mass
 }
 
 // tierWeights returns each relation's share of the lower bounds: w_j =
@@ -729,8 +625,8 @@ func (o *Optimizer) checkedBound(tab *dpTab, k int) float64 {
 
 // Tiered optimizes q with the greedy fast path armed (Options.Tier is
 // forced to TierAuto unless already set): the greedy tier serves when its
-// risk signals clear the Options.TierRisk thresholds, and the run escalates
-// to Algorithm C's static-distribution DP otherwise. The Result's Tier /
+// plan is provably within DefaultTierMaxGap of the optimum, and the run
+// escalates to Algorithm C's static-distribution DP otherwise. The Result's Tier /
 // TierReason / TierGap fields report which tier answered and why.
 func Tiered(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
 	if opts.Tier == TierDP {

@@ -10,21 +10,23 @@ package opt
 //     active phase distributions reports (the gap guarantee is computed on
 //     real numbers, not estimates);
 //   - whenever TierAuto *serves* the greedy plan, its true expected cost is
-//     within the configured (1+MaxGap) factor of the DP optimum — the
+//     within the (1+DefaultTierMaxGap) factor of the DP optimum — the
 //     admissible-lower-bound argument made checkable;
-//   - whenever TierAuto does not serve, it escalates with a typed reason
-//     and the DP result is identical to a plain TierDP run;
+//   - TierAuto serves exactly when a lower bound clears that factor, and
+//     otherwise escalates with a typed reason to a DP result identical to a
+//     plain TierDP run;
 //   - a seeded adversarial instance with probability mass straddling the
 //     chosen method's cost level-set boundary must escalate;
 //   - every complete left-deep DP level's bound LB_k is admissible and the
 //     bounds climb with k, so a plan served with reason "certified" is
-//     within (1+MaxGap) of the optimum too;
+//     within (1+DefaultTierMaxGap) of the optimum too;
 //   - the certificate leaves Tier: dp runs' effort counters untouched, and
 //     an interrupted DP's greedy rung reports its gap against the last
 //     complete level.
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -72,8 +74,6 @@ func tierCosters(dm *stats.Dist) []struct {
 // result produced by an escalated TierAuto run.
 var escalationReasons = map[string]bool{
 	TierEscGap:         true,
-	TierEscVariance:    true,
-	TierEscLevelSet:    true,
 	TierEscObjective:   true,
 	TierEscFault:       true,
 	TierEscUnplannable: true,
@@ -136,7 +136,7 @@ func TestTierGreedyAlwaysValidRandomGraphs(t *testing.T) {
 
 // TestTierAutoGapBoundRandomGraphs runs the same grid under TierAuto and
 // checks the controller's contract both ways: a served greedy plan's true
-// expected cost is within (1+MaxGap) of the DP optimum, and an escalated
+// expected cost is within (1+DefaultTierMaxGap) of the DP optimum, and an escalated
 // run carries a typed reason and matches a plain TierDP run exactly.
 func TestTierAutoGapBoundRandomGraphs(t *testing.T) {
 	served, escalated := 0, 0
@@ -148,7 +148,6 @@ func TestTierAutoGapBoundRandomGraphs(t *testing.T) {
 		n := 2 + i%(cc.maxN-1)
 		shape := tierShapes[i%len(tierShapes)]
 		cat, q := randInstance(t, seed, n, shape, i%3 == 1)
-		risk := TierRisk{}.normalize()
 		auto, err := NewOptimizer(cat, q, Options{Tier: TierAuto}, cc.cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -173,10 +172,10 @@ func TestTierAutoGapBoundRandomGraphs(t *testing.T) {
 			}
 			checkGreedyPlanShape(t, q, res.Plan)
 			trueCost := plan.ExpCostPhased(res.Plan, auto.phaseDists())
-			bound := (1 + risk.MaxGap) * dp.Cost * (1 + 1e-9)
+			bound := (1 + DefaultTierMaxGap) * dp.Cost * (1 + 1e-9)
 			if trueCost > bound {
 				t.Fatalf("seed %d shape %v n=%d: served greedy true cost %v exceeds (1+%.2f)·OPT = %v (OPT %v, reported gap %.3f)",
-					seed, shape, n, trueCost, risk.MaxGap, bound, dp.Cost, res.TierGap)
+					seed, shape, n, trueCost, DefaultTierMaxGap, bound, dp.Cost, res.TierGap)
 			}
 		case TierNameDP:
 			escalated++
@@ -194,7 +193,7 @@ func TestTierAutoGapBoundRandomGraphs(t *testing.T) {
 		t.Error("TierAuto never served the greedy tier across the whole grid; the fast path is dead")
 	}
 	if escalated == 0 {
-		t.Error("TierAuto never escalated across the whole grid; the risk gate is dead")
+		t.Error("TierAuto never escalated across the whole grid; the gap gate is dead")
 	}
 	t.Logf("%d served greedy, %d escalated to the DP", served, escalated)
 }
@@ -258,17 +257,11 @@ func adversarialLevelSetInstance() (*catalog.Catalog, *query.SPJ, *stats.Dist) {
 }
 
 // TestTierAdversarialLevelSetMustEscalate: the seeded adversarial instance
-// must never be served greedily. With the gap and variance thresholds
-// opened wide the escalation is attributable to the level-set signal
-// specifically; with default thresholds it must still escalate.
+// must never be served greedily. Its greedy plan's gap against every lower
+// bound exceeds DefaultTierMaxGap, so it escalates on the gap.
 func TestTierAdversarialLevelSetMustEscalate(t *testing.T) {
 	cat, q, dm := adversarialLevelSetInstance()
-
-	// Isolate the level-set signal: gap and CV thresholds effectively off.
-	eng, err := NewOptimizer(cat, q, Options{
-		Tier:     TierAuto,
-		TierRisk: TierRisk{MaxGap: 1e9, MaxCV: 1e9},
-	}, Config{Coster: StaticParams{Mem: dm}})
+	eng, err := NewOptimizer(cat, q, Options{Tier: TierAuto}, Config{Coster: StaticParams{Mem: dm}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,21 +269,8 @@ func TestTierAdversarialLevelSetMustEscalate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Tier != TierNameDP || res.TierReason != TierEscLevelSet {
-		t.Fatalf("adversarial case: tier=%q reason=%q, want dp/%s", res.Tier, res.TierReason, TierEscLevelSet)
-	}
-
-	// Default thresholds: still must escalate (any reason).
-	eng2, err := NewOptimizer(cat, q, Options{Tier: TierAuto}, Config{Coster: StaticParams{Mem: dm}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := eng2.Optimize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Tier != TierNameDP || !escalationReasons[res2.TierReason] {
-		t.Fatalf("adversarial case under defaults: tier=%q reason=%q, want an escalation", res2.Tier, res2.TierReason)
+	if res.Tier != TierNameDP || res.TierReason != TierEscGap {
+		t.Fatalf("adversarial case: tier=%q reason=%q, want dp/%s", res.Tier, res.TierReason, TierEscGap)
 	}
 }
 
@@ -412,11 +392,10 @@ func TestTierLevelBoundAdmissible(t *testing.T) {
 
 // TestTierCertifiedWithinGap runs TierAuto over the left-deep grid and
 // checks every plan served through the certified path: its true expected
-// cost is within (1+MaxGap) of the DP optimum, its reported gap is within
-// MaxGap and at most the gate's LB_1 gap, and it never ran the DP's last
-// level.
+// cost is within (1+DefaultTierMaxGap) of the DP optimum, its reported gap
+// is within DefaultTierMaxGap and at most the gate's LB_1 gap, and it never
+// ran the DP's last level.
 func TestTierCertifiedWithinGap(t *testing.T) {
-	risk := TierRisk{}.normalize()
 	certified := 0
 	for i := 0; i < 160; i++ {
 		seed := int64(53000 + i)
@@ -453,13 +432,13 @@ func TestTierCertifiedWithinGap(t *testing.T) {
 		if relDiff(trueCost, res.Cost) > 1e-9 {
 			t.Fatalf("seed %d: served cost %v != re-scored %v", seed, res.Cost, trueCost)
 		}
-		if bound := (1 + risk.MaxGap) * dp.Cost * (1 + 1e-9); trueCost > bound {
+		if bound := (1 + DefaultTierMaxGap) * dp.Cost * (1 + 1e-9); trueCost > bound {
 			t.Fatalf("seed %d %v n=%d: certified plan costs %v, above (1+%.2f)·OPT = %v",
-				seed, shape, n, trueCost, risk.MaxGap, bound)
+				seed, shape, n, trueCost, DefaultTierMaxGap, bound)
 		}
 		lb1Gap := res.Cost/auto.tierLowerBound(auto.tierWeights(auto.phaseDists())) - 1
-		if res.TierGap > risk.MaxGap || res.TierGap > lb1Gap {
-			t.Fatalf("seed %d: certified gap %v, MaxGap %v, LB_1 gap %v", seed, res.TierGap, risk.MaxGap, lb1Gap)
+		if res.TierGap > DefaultTierMaxGap || res.TierGap > lb1Gap {
+			t.Fatalf("seed %d: certified gap %v, DefaultTierMaxGap %v, LB_1 gap %v", seed, res.TierGap, DefaultTierMaxGap, lb1Gap)
 		}
 		if res.Count.Subsets >= dp.Count.Subsets {
 			t.Fatalf("seed %d: certified run visited %d subsets, the full DP %d", seed, res.Count.Subsets, dp.Count.Subsets)
@@ -469,6 +448,106 @@ func TestTierCertifiedWithinGap(t *testing.T) {
 		t.Fatal("no run was served through the certified path; the certificate is dead")
 	}
 	t.Logf("%d runs served certified", certified)
+}
+
+// TestTierAutoServesIffBoundClears pins the gate's rule against an oracle
+// built from a plain DP run's table, over the random grids of
+// TestTierAutoGapBoundRandomGraphs and TestTierCertifiedWithinGap, the
+// mixed workload of the tier benchmarks, and lowRisk2 (no random instance
+// clears LB_1). TierAuto
+// must serve the greedy plan exactly when its gap against LB_1 is within
+// DefaultTierMaxGap ("low-risk"), or, in the left-deep space of a run that
+// priced no non-finite cost, against LB_{n−1}, the highest level the
+// certificate checks ("certified"; the bounds climb with k, so LB_{n−1}
+// clears whenever any lower level does). Every other run must escalate on
+// the gap to exactly the DP's plan and cost.
+func TestTierAutoServesIffBoundClears(t *testing.T) {
+	type instance struct {
+		seed    int64
+		cat     *catalog.Catalog
+		q       *query.SPJ
+		opts    Options
+		cfg     Config
+		summary string
+	}
+	var grid []instance
+	for i := 0; i < 120; i++ {
+		seed := int64(43000 + i)
+		cc := tierCosters(randMemDist3(seed))[i%5]
+		n := 2 + i%(cc.maxN-1)
+		cat, q := randInstance(t, seed, n, tierShapes[i%len(tierShapes)], i%3 == 1)
+		grid = append(grid, instance{seed, cat, q, Options{}, cc.cfg, cc.cfg.Space.String()})
+	}
+	for i := 0; i < 160; i++ {
+		seed := int64(53000 + i)
+		cc := levelBoundConfigs(randMemDist3(seed))[i%4]
+		cat, q := randInstance(t, seed, 3+i%6, tierShapes[i%len(tierShapes)], i%3 == 0)
+		grid = append(grid, instance{seed, cat, q, Options{Enumeration: cc.enum}, cc.cfg, cc.enum.String()})
+	}
+	for k, in := range tierMixedWorkload(t) {
+		grid = append(grid, instance{0, in.cat, in.q, Options{}, Config{Coster: StaticParams{Mem: tierBenchDist()}}, fmt.Sprintf("mixed[%d] %s", k, in.name)})
+	}
+	cat, q := lowRisk2()
+	grid = append(grid, instance{0, cat, q, Options{}, Config{Coster: StaticParams{Mem: stats.Point(5000)}}, "lowrisk2"})
+
+	served := map[string]int{}
+	for _, in := range grid {
+		run := func(tier Tier) (*Optimizer, *Result) {
+			opts := in.opts
+			opts.Tier = tier
+			eng, err := NewOptimizer(in.cat, in.q, opts, in.cfg)
+			if err != nil {
+				t.Fatalf("seed %d: %v", in.seed, err)
+			}
+			res, err := eng.Optimize()
+			if err != nil {
+				t.Fatalf("seed %d tier %v: %v", in.seed, tier, err)
+			}
+			return eng, res
+		}
+		dpEng, dp := run(TierDP)
+		_, greedy := run(TierGreedy)
+		_, auto := run(TierAuto)
+
+		n := in.q.NumRels()
+		w := dpEng.tierWeights(dpEng.phaseDists())
+		want := ""
+		if tierGapOf(greedy.Cost, dpEng.tierLowerBound(w)) <= DefaultTierMaxGap {
+			want = TierLowRisk
+		} else if in.cfg.Space == SpaceLeftDeep && dp.Count.NonFiniteCosts == 0 && greedy.Count.NonFiniteCosts == 0 {
+			if lb := dpEng.levelBound(&dpEng.dpt, n-1, w); !math.IsInf(lb, 1) && tierGapOf(greedy.Cost, lb) <= DefaultTierMaxGap {
+				want = TierCertified
+			}
+		}
+
+		if want != "" {
+			if auto.Tier != TierNameGreedy || auto.TierReason != want {
+				t.Errorf("seed %d %s n=%d: tier=%q reason=%q, want greedy/%s (greedy %v, OPT %v)",
+					in.seed, in.summary, n, auto.Tier, auto.TierReason, want, greedy.Cost, dp.Cost)
+				continue
+			}
+			if auto.Plan.Key() != greedy.Plan.Key() || math.Float64bits(auto.Cost) != math.Float64bits(greedy.Cost) {
+				t.Fatalf("seed %d: served plan %s cost %v, want the greedy tier's %s cost %v",
+					in.seed, auto.Plan.Key(), auto.Cost, greedy.Plan.Key(), greedy.Cost)
+			}
+			served[want]++
+			continue
+		}
+		if auto.Tier != TierNameDP || auto.TierReason != TierEscGap {
+			t.Errorf("seed %d %s n=%d: tier=%q reason=%q gap %v, want dp/%s (greedy %v, OPT %v)",
+				in.seed, in.summary, n, auto.Tier, auto.TierReason, auto.TierGap, TierEscGap, greedy.Cost, dp.Cost)
+			continue
+		}
+		if auto.Plan.Key() != dp.Plan.Key() || math.Float64bits(auto.Cost) != math.Float64bits(dp.Cost) {
+			t.Fatalf("seed %d: escalated plan %s cost %v, want the DP's %s cost %v",
+				in.seed, auto.Plan.Key(), auto.Cost, dp.Plan.Key(), dp.Cost)
+		}
+	}
+	if served[TierLowRisk] == 0 || served[TierCertified] == 0 {
+		t.Fatalf("served %v: both serve paths must be exercised", served)
+	}
+	t.Logf("%d instances: %d low-risk, %d certified, rest escalated on the gap",
+		len(grid), served[TierLowRisk], served[TierCertified])
 }
 
 // tierDPCounterGrid sums the effort counters of TierDP runs over a
@@ -588,6 +667,24 @@ func certifiedChain3() (*catalog.Catalog, *query.SPJ) {
 			{Left: col("b", "j"), Right: col("c", "j"), Selectivity: 1.0 / 10000},
 		},
 		Selections: []query.Selection{{Col: col("c", "j"), Selectivity: 0.099}},
+	}
+	return cat, q
+}
+
+// lowRisk2 is cmd/lecd's lowrisk2 test catalog and query: a filtered
+// million-row relation joins a thousand-row one, the sequential scans
+// dominate, and the greedy plan sits within DefaultTierMaxGap of LB_1.
+func lowRisk2() (*catalog.Catalog, *query.SPJ) {
+	cat := catalog.New()
+	cat.MustAdd(&catalog.Table{Name: "x", Rows: 1000, Pages: 100,
+		Columns: []*catalog.Column{{Name: "k", Distinct: 1000, Min: 1, Max: 1000}}})
+	cat.MustAdd(&catalog.Table{Name: "y", Rows: 1_000_000, Pages: 100_000,
+		Columns: []*catalog.Column{{Name: "k", Distinct: 1_000_000, Min: 1, Max: 1_000_000}}})
+	col := func(t, c string) query.ColumnRef { return query.ColumnRef{Table: t, Column: c} }
+	q := &query.SPJ{
+		Tables:     []string{"x", "y"},
+		Joins:      []query.JoinPred{{Left: col("x", "k"), Right: col("y", "k"), Selectivity: 1.0 / 1_000_000}},
+		Selections: []query.Selection{{Col: col("y", "k"), Selectivity: 0.01}},
 	}
 	return cat, q
 }

@@ -160,9 +160,6 @@ func (e *CsgEnum) Level(k int) []RelSet {
 	return e.levels[k]
 }
 
-// LevelLen returns len(Level(k)) without exposing the slice.
-func (e *CsgEnum) LevelLen(k int) int { return len(e.Level(k)) }
-
 // CountAtMost returns the total number of non-empty connected subsets,
 // stopping early once the running total reaches limit (in which case limit
 // is returned). Memo sizing uses this to bound how much of the lattice is

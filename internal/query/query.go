@@ -70,13 +70,6 @@ func (p JoinPred) SelectivityDist() *stats.Dist {
 	return stats.Point(p.Selectivity)
 }
 
-// Connects reports whether the predicate joins tables a and b (in either
-// direction).
-func (p JoinPred) Connects(a, b string) bool {
-	return (p.Left.Table == a && p.Right.Table == b) ||
-		(p.Left.Table == b && p.Right.Table == a)
-}
-
 // Touches reports whether the predicate references table t.
 func (p JoinPred) Touches(t string) bool {
 	return p.Left.Table == t || p.Right.Table == t

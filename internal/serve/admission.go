@@ -58,7 +58,7 @@ type Rung struct {
 // DefaultLadder builds the standard two-step pressure ladder for a queue
 // of the given depth: light pressure caps work near the cost of a full
 // medium-size search and lets the tier controller serve greedy plans when
-// the risk signals allow; heavy pressure forces every request onto the
+// the gap bound allows; heavy pressure forces every request onto the
 // greedy tier before shedding, so the service degrades plan quality —
 // with the DP still reachable only through the engine's own fault
 // fallbacks — before it degrades availability.

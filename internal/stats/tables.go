@@ -87,11 +87,6 @@ func (t *PrefixTable) PartialExpLT(a float64) float64 {
 // Mean returns E[X] from the precomputed table.
 func (t *PrefixTable) Mean() float64 { return t.cumVP[t.d.Len()-1] }
 
-// PartialExpGT returns Σ_{v > b} v·Pr[X = v].
-func (t *PrefixTable) PartialExpGT(b float64) float64 {
-	return t.Mean() - t.PartialExpLE(b)
-}
-
 // PartialExpLE returns Σ_{v ≤ b} v·Pr[X = v] (the unnormalized conditional
 // expectation used directly by the fast sort-merge formula).
 func (t *PrefixTable) PartialExpLE(b float64) float64 {

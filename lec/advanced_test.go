@@ -50,13 +50,19 @@ func TestOptimizeRiskAverseMatchesEngine(t *testing.T) {
 		t.Fatalf("nil query: error %v, want ErrInvalidQuery", err)
 	}
 	for ci, c := range dispatchConditions {
-		if c.cancel || c.groupBy {
-			continue // no context to cancel; GROUP BY is covered by OptimizeSearch's core
+		if c.cancel {
+			continue // no context to cancel
 		}
 		for _, seed := range []int64{9301, 9302} {
 			seed += int64(10 * ci)
 			_, o, q, env := c.setup(t, seed)
 			d, derr := o.OptimizeRiskAverse(q, env, gamma)
+			if c.groupBy {
+				if !errors.Is(derr, ErrInvalidQuery) {
+					t.Errorf("%s/%d: GROUP BY error %v (Decision %v), want ErrInvalidQuery", c.name, seed, derr, d)
+				}
+				continue
+			}
 			phases := []*stats.Dist{env.Memory}
 			if env.Chain != nil {
 				phases = opt.PhaseDistsFor(q, env.Chain, env.Memory)

@@ -2,6 +2,7 @@ package lec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -226,12 +227,15 @@ func TestDispatchMatchesEngine(t *testing.T) {
 				ref, rerr := directRun(ctx, o, q, env, s)
 				compareRuns(t, fmt.Sprintf("%s/%d/%v", c.name, seed, s), d, derr, ref, rerr, q, env, c.degrades)
 			}
-			if c.groupBy {
-				continue // OptimizeSearch plans the SPJ core only
-			}
 			for _, space := range []Space{SpaceLeftDeep, SpaceBushy, SpacePipelined} {
 				ctx, o, q, env := c.setup(t, seed)
 				d, derr := o.OptimizeSearchContext(ctx, q, env, Search{Space: space})
+				if c.groupBy {
+					if !errors.Is(derr, ErrInvalidQuery) {
+						t.Errorf("%s/%d/search-%v: GROUP BY error %v (Decision %v), want ErrInvalidQuery", c.name, seed, space, derr, d)
+					}
+					continue
+				}
 				cfg := opt.Config{Space: space, Coster: opt.StaticParams{Mem: env.Memory}}
 				if env.Chain != nil {
 					cfg.Coster = opt.MarkovParams{Chain: env.Chain, Initial: env.Memory}

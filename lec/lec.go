@@ -161,9 +161,10 @@ type Decision struct {
 	// "dp" after an escalation. Empty when tiering was off or the strategy
 	// routes around the tier controller (the multi-bucket candidate pools).
 	Tier string
-	// TierReason says why that tier answered: "low-risk"/"forced"/
+	// TierReason says why that tier answered: "low-risk" (the gap against
+	// the lower bound LB_1 was within opt.DefaultTierMaxGap), "forced" or
 	// "certified" for a served greedy plan, or the escalation trigger
-	// ("gap", "variance", "level-set", "objective", "fault", "unplannable").
+	// ("gap", "objective", "fault", "unplannable").
 	TierReason string
 	// TierGap is the greedy plan's relative expected-cost gap vs an
 	// admissible lower bound (greedy/LB − 1), when computed; a "certified"
@@ -255,8 +256,11 @@ func (o *Optimizer) pooledRun(ctx context.Context, q *query.SPJ, env Environment
 // run is the facade's one engine-run path: the panic bulkhead, environment
 // and query validation, the engine run, and the Decision. config is nil for
 // a named strategy; OptimizeSearch and OptimizeRiskAverse set it and plan
-// the block's SPJ core in one engine run under the Config it returns. Under
-// an unpooled context every engine session allocates fresh scratch.
+// the block in one engine run under the Config it returns. A GROUP BY block
+// is planned only by the named strategies (opt.OptimizeWithAggregation, a
+// static distribution over the left-deep space), so a config run rejects
+// one rather than plan its bare join. Under an unpooled context every
+// engine session allocates fresh scratch.
 func (o *Optimizer) run(ctx context.Context, q *query.SPJ, env Environment, s Strategy, config configFor) (d *Decision, err error) {
 	defer recoverToInternal(&err)
 	if err := env.validate(); err != nil {
@@ -268,7 +272,10 @@ func (o *Optimizer) run(ctx context.Context, q *query.SPJ, env Environment, s St
 	if err := q.Validate(o.cat); err != nil {
 		return nil, classifyErr(err)
 	}
-	aggregate := config == nil && q.GroupBy != nil
+	if config != nil && q.GroupBy != nil {
+		return nil, fmt.Errorf("%w: GROUP BY is planned only by the named strategies (Optimize)", ErrInvalidQuery)
+	}
+	aggregate := q.GroupBy != nil
 	res, err := o.dispatch(ctx, q, env, s, config, aggregate)
 	if err != nil {
 		return nil, classifyErr(err)
@@ -457,8 +464,6 @@ type (
 	// Tier selects the tiered-planning mode (see Options.Tier): TierDP,
 	// TierAuto, or TierGreedy.
 	Tier = opt.Tier
-	// TierRisk sets TierAuto's escalation thresholds (see Options.TierRisk).
-	TierRisk = opt.TierRisk
 )
 
 // Engine spaces.
