@@ -11,13 +11,6 @@ type OptMetrics struct {
 	CostingSeconds     *Histogram
 	BucketingSeconds   *Histogram
 
-	// Per-enumerator mirrors of the phase histograms. The text registry has
-	// no label support, so the enumerator label is encoded in the metric
-	// name (…_seconds_exhaustive / …_seconds_connected); the unsuffixed
-	// histograms above remain the all-runs totals.
-	PhaseExhaustive *OptPhaseMetrics
-	PhaseConnected  *OptPhaseMetrics
-
 	// Counter mirrors of the engine's per-run Counters deltas.
 	Runs            *Counter
 	CostEvals       *Counter
@@ -54,7 +47,6 @@ type TierMetrics struct {
 	Escalations  *Counter
 
 	// Per-reason escalation counters (see opt's tier reason strings).
-	EscalationForced      *Counter
 	EscalationGap         *Counter
 	EscalationObjective   *Counter
 	EscalationFault       *Counter
@@ -77,7 +69,6 @@ func newTierMetrics(reg *Registry, phase []float64) *TierMetrics {
 	return &TierMetrics{
 		GreedyServed:          reg.Counter("lec_tier_greedy_served_total", "Optimizations served by the greedy tier without finishing the DP (low-risk, forced or certified at a DP level)."),
 		Escalations:           reg.Counter("lec_tier_escalations_total", "Optimizations escalated from the greedy tier that ended on the DP."),
-		EscalationForced:      reg.Counter("lec_tier_escalation_forced_total", "Escalations forced by configuration (tier pinned to dp)."),
 		EscalationGap:         reg.Counter("lec_tier_escalation_gap_total", "Escalations triggered by the expected-cost gap vs the lower bound."),
 		EscalationObjective:   reg.Counter("lec_tier_escalation_objective_total", "Escalations because the configured objective/coster has no greedy scoring."),
 		EscalationFault:       reg.Counter("lec_tier_escalation_fault_total", "Escalations because the greedy planner faulted (panic, NaN/Inf, cancellation)."),
@@ -85,33 +76,6 @@ func newTierMetrics(reg *Registry, phase []float64) *TierMetrics {
 		GreedySeconds:         reg.Histogram("lec_tier_greedy_seconds", "Greedy-tier planning latency per attempt.", phase),
 		DPSeconds:             reg.Histogram("lec_tier_dp_seconds", "DP planning latency per escalated optimization.", phase),
 		Regret:                reg.Histogram("lec_tier_regret", "Greedy-vs-DP realized regret (greedy/dp − 1) on escalations.", regret),
-	}
-}
-
-// OptPhaseMetrics is one enumerator's mirror of the per-phase histograms.
-type OptPhaseMetrics struct {
-	EnumerationSeconds *Histogram
-	CostingSeconds     *Histogram
-	BucketingSeconds   *Histogram
-}
-
-// Phase returns the per-enumerator phase bundle (connected or exhaustive).
-// Nil-safe: a nil *OptMetrics returns nil.
-func (m *OptMetrics) Phase(connected bool) *OptPhaseMetrics {
-	if m == nil {
-		return nil
-	}
-	if connected {
-		return m.PhaseConnected
-	}
-	return m.PhaseExhaustive
-}
-
-func newOptPhaseMetrics(reg *Registry, suffix string, buckets []float64) *OptPhaseMetrics {
-	return &OptPhaseMetrics{
-		EnumerationSeconds: reg.Histogram("lec_opt_enumeration_seconds_"+suffix, "Plan enumeration time per optimization run under the "+suffix+" enumerator.", buckets),
-		CostingSeconds:     reg.Histogram("lec_opt_costing_seconds_"+suffix, "Cost-formula evaluation time per optimization run under the "+suffix+" enumerator.", buckets),
-		BucketingSeconds:   reg.Histogram("lec_opt_bucketing_seconds_"+suffix, "Distribution bucketing/convolution time per optimization run under the "+suffix+" enumerator.", buckets),
 	}
 }
 
@@ -135,8 +99,6 @@ func NewOptMetrics(reg *Registry) *OptMetrics {
 		Subsets:            reg.Counter("lec_opt_subsets_total", "Relation subsets visited by the DP."),
 		SubsetsEnumerated:  reg.Counter("lec_opt_subsets_enumerated_total", "Relation subsets emitted by the lattice enumerator."),
 		SubsetsSkipped:     reg.Counter("lec_opt_subsets_skipped_total", "Relation subsets pruned by the connected enumerator as disconnected."),
-		PhaseExhaustive:    newOptPhaseMetrics(reg, "exhaustive", phase),
-		PhaseConnected:     newOptPhaseMetrics(reg, "connected", phase),
 		JoinSteps:          reg.Counter("lec_opt_join_steps_total", "Join steps priced."),
 		NonFiniteCosts:     reg.Counter("lec_opt_nonfinite_costs_total", "Cost evaluations that produced NaN or Inf."),
 		Degradations:       reg.Counter("lec_opt_degradations_total", "Optimizations that returned a degraded (fallback) plan."),

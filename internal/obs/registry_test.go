@@ -211,6 +211,47 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
+// TestOptMetricsSeries pins the exact series NewOptMetrics registers: one
+// per phase histogram, engine counter and tier outcome, and nothing a run
+// cannot move.
+func TestOptMetricsSeries(t *testing.T) {
+	reg := NewRegistry()
+	NewOptMetrics(reg)
+	want := []string{
+		"lec_opt_bucket_err_bound_total",
+		"lec_opt_bucketing_seconds",
+		"lec_opt_cost_evals_total",
+		"lec_opt_costing_seconds",
+		"lec_opt_degradations_total",
+		"lec_opt_enumeration_seconds",
+		"lec_opt_join_steps_total",
+		"lec_opt_memo_hits_total",
+		"lec_opt_nonfinite_costs_total",
+		"lec_opt_panics_recovered_total",
+		"lec_opt_prunes_total",
+		"lec_opt_runs_total",
+		"lec_opt_subsets_enumerated_total",
+		"lec_opt_subsets_skipped_total",
+		"lec_opt_subsets_total",
+		"lec_tier_dp_seconds",
+		"lec_tier_escalation_fault_total",
+		"lec_tier_escalation_gap_total",
+		"lec_tier_escalation_objective_total",
+		"lec_tier_escalation_unplannable_total",
+		"lec_tier_escalations_total",
+		"lec_tier_greedy_seconds",
+		"lec_tier_greedy_served_total",
+		"lec_tier_regret",
+	}
+	var got []string
+	for _, m := range reg.sorted() {
+		got = append(got, m.name)
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("NewOptMetrics registered\n  %s\nwant\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+	}
+}
+
 func TestNewOptMetricsNilRegistry(t *testing.T) {
 	if NewOptMetrics(nil) != nil {
 		t.Fatal("NewOptMetrics(nil) should be nil")

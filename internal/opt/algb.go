@@ -83,7 +83,8 @@ func (o *Optimizer) runTopC(c int) ([]topEntry, error) {
 		return sortTruncate(ctx, roots, c), nil
 	}
 
-	lists := o.topTable(n)
+	o.topt.reset(n)
+	lists := &o.topt
 	for i := 0; i < n; i++ {
 		lists.put(query.NewRelSet(i), scanLists[i])
 	}

@@ -26,7 +26,7 @@ import (
 // consistent ("the size of the result is independent of the choice of j";
 // we always split off the lowest relation index). Memoized.
 func (ctx *Context) RowDist(s query.RelSet) *stats.Dist {
-	if d, ok := ctx.subsetRowDist.get(s); ok {
+	if d := ctx.subsetRowDist.get(s); d != nil {
 		ctx.Count.MemoHits++
 		return d
 	}

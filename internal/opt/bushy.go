@@ -35,7 +35,8 @@ func (o *Optimizer) runBushy() (*Result, error) {
 		// Same as the left-deep single-relation case.
 		return finishSingle(ctx, pr)
 	}
-	best := o.dpTable(n)
+	o.dpt.reset(n)
+	best := &o.dpt
 	for i := 0; i < n; i++ {
 		s := ctx.BestScan(i)
 		best.put(query.NewRelSet(i), dpEntry{node: s, cost: s.AccessCost()})

@@ -34,6 +34,7 @@ package opt
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 
@@ -42,14 +43,13 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/query"
+	"repro/internal/stats"
 )
 
 // Options configures the optimizers.
 type Options struct {
 	// Methods is the set of join algorithms to consider; nil means all.
 	Methods []cost.Method
-	// DisableIndexScans restricts access paths to sequential scans.
-	DisableIndexScans bool
 	// AvoidCrossProducts skips join steps with no connecting predicate
 	// whenever the subset has some connected extension — the standard
 	// System R heuristic. Disabled by default so that the dynamic programs
@@ -78,9 +78,6 @@ type Options struct {
 	// root candidate are captured on Result.Trace. Off by default — when
 	// off, the search pays a single nil check per subset.
 	Trace bool
-	// TraceCap bounds the trace's event ring buffer; 0 means
-	// obs.DefaultTraceCap. Root candidates are bounded separately.
-	TraceCap int
 	// Metrics, when non-nil, receives per-run phase timings and counter
 	// deltas (see obs.NewOptMetrics). Off by default; safe to share across
 	// engines and goroutines.
@@ -243,22 +240,21 @@ type Context struct {
 	predSides [][2]int       // per Q.Joins entry: (left, right) relation indices (-1 if unknown)
 
 	// enumeration state (see enum.go): the effective enumerator (requested
-	// EnumConnected degrades to EnumExhaustive on disconnected graphs), the
-	// cached connected-subgraph levels, and the predicted table sizing the
-	// memos and DP tables are allocated from.
+	// EnumConnected degrades to EnumExhaustive on disconnected graphs) and
+	// the cached connected-subgraph levels.
 	enumEff Enumeration
 	csg     *query.CsgEnum
-	sizing  memoSizing
 
 	// arena interns join and sort nodes for the session.
 	arena *plan.Arena
 
-	// memoized subset statistics
-	subsetRows  *floatMemo
-	subsetPages *floatMemo
+	// memoized subset statistics (NaN = not yet computed)
+	subsetRows  *subsetTab[float64]
+	subsetPages *subsetTab[float64]
 
-	// memoized subset row-count distributions (Algorithm D)
-	subsetRowDist *distMemo
+	// memoized subset row-count distributions (Algorithm D; nil = not yet
+	// computed)
+	subsetRowDist *subsetTab[*stats.Dist]
 
 	// fail-soft run state (see failsoft.go): the request context, the
 	// sticky interruption cause, the countdown to the next context poll,
@@ -284,7 +280,7 @@ type Context struct {
 	runStart       time.Time
 	costingNanos   int64
 	bucketingNanos int64
-	bucketErr      *errMemo
+	bucketErr      *subsetTab[float64]
 	bucketErrMark  float64
 
 	Count Counters
@@ -306,7 +302,7 @@ func NewContext(cat *catalog.Catalog, q *query.SPJ, opts Options) (*Context, err
 		arena:     plan.NewArena(),
 	}
 	if ctx.Opts.Trace {
-		ctx.trace = obs.NewRecorder(ctx.Opts.TraceCap)
+		ctx.trace = obs.NewRecorder(obs.DefaultTraceCap)
 	}
 	ctx.metrics = ctx.Opts.Metrics
 	ctx.obsWant = ctx.metrics != nil || ctx.trace != nil
@@ -334,35 +330,12 @@ func NewContext(cat *catalog.Catalog, q *query.SPJ, opts Options) (*Context, err
 		}
 	}
 	ctx.buildJoinIndex()
-	// The enumerator is built on the join index, and the memo tables are
-	// sized from the enumerator's predicted subset count — so both come
-	// after buildJoinIndex. All memo backing arrays stay lazily allocated.
 	ctx.initEnum()
-	ctx.subsetRows = newFloatMemo(ctx.sizing)
-	ctx.subsetPages = newFloatMemo(ctx.sizing)
-	ctx.subsetRowDist = newDistMemo(ctx.sizing)
-	ctx.bucketErr = &errMemo{sz: ctx.sizing}
+	ctx.subsetRows = nanTab(n)
+	ctx.subsetPages = nanTab(n)
+	ctx.subsetRowDist = &subsetTab[*stats.Dist]{n: n}
+	ctx.bucketErr = &subsetTab[float64]{n: n}
 	return ctx, nil
-}
-
-// beginSizeProbe puts the subset-size memos into probe mode for a phase
-// that touches only O(n²) subsets (the greedy planning tier): the lazy
-// first allocation then uses a small sparse table instead of NaN-filling a
-// dense 2^n array whose fill alone would dwarf the phase. A no-op when the
-// dense tables are small enough to be cheaper than any hashing.
-func (ctx *Context) beginSizeProbe() {
-	if !ctx.sizing.dense || ctx.sizing.n <= denseSmallMaxRels {
-		return
-	}
-	ctx.subsetRows.probe = true
-	ctx.subsetPages.probe = true
-}
-
-// endSizeProbe restores the sized memo layout before a full DP run,
-// migrating any probe-phase entries into the dense tables.
-func (ctx *Context) endSizeProbe() {
-	ctx.subsetRows.settle()
-	ctx.subsetPages.settle()
 }
 
 // relPredRef is one entry of the per-relation predicate index: the Q.Joins
@@ -460,9 +433,6 @@ func (ctx *Context) buildScans(i int, tab *catalog.Table) []*plan.Scan {
 		Selectivity: localSel,
 		Pages:       ctx.basePages[i], Rows: ctx.baseRows[i],
 	}}
-	if ctx.Opts.DisableIndexScans {
-		return out
-	}
 	for _, idx := range tab.Indexes {
 		// Index is useful if its column has a filter, or if it can deliver
 		// the ORDER BY order (clustered only — a non-clustered full traversal
@@ -520,7 +490,7 @@ func (ctx *Context) BestScan(i int) *plan.Scan {
 // the filtered base cardinalities and the selectivities of every join
 // predicate internal to S. It is independent of join order.
 func (ctx *Context) SubsetRows(s query.RelSet) float64 {
-	if r, ok := ctx.subsetRows.get(s); ok {
+	if r := ctx.subsetRows.get(s); !math.IsNaN(r) {
 		ctx.Count.MemoHits++
 		return r
 	}
@@ -549,7 +519,7 @@ func (ctx *Context) SubsetPPR(s query.RelSet) float64 {
 
 // SubsetPages returns the estimated result size in pages.
 func (ctx *Context) SubsetPages(s query.RelSet) float64 {
-	if p, ok := ctx.subsetPages.get(s); ok {
+	if p := ctx.subsetPages.get(s); !math.IsNaN(p) {
 		ctx.Count.MemoHits++
 		return p
 	}

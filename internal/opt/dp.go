@@ -94,7 +94,7 @@ type dpEntry struct {
 // the best finished root candidate seen so far, and — when a tier
 // certificate is armed — the running LB_k of the level being solved.
 type dpWalk struct {
-	best *dpTab
+	best *subsetTab[dpEntry]
 	pr   stepPricer
 	bp   batchStepPricer
 	full query.RelSet
@@ -105,7 +105,7 @@ type dpWalk struct {
 	lbOpen bool      // the level may still certify: lbMin still clears cert
 }
 
-func newDPWalk(best *dpTab, pr stepPricer, n int) dpWalk {
+func newDPWalk(best *subsetTab[dpEntry], pr stepPricer, n int) dpWalk {
 	return dpWalk{best: best, pr: pr, bp: batchFor(pr), full: query.FullSet(n), root: dpEntry{cost: math.Inf(1)}}
 }
 
@@ -238,7 +238,8 @@ func (o *Optimizer) runLeftDeep() (*Result, error) {
 		return finishSingle(ctx, pr)
 	}
 
-	best := o.dpTable(n)
+	o.dpt.reset(n)
+	best := &o.dpt
 	// Depth 1: LEC/LSC access paths coincide because scan cost is
 	// memory-independent.
 	for i := 0; i < n; i++ {

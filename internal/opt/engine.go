@@ -183,14 +183,12 @@ type Optimizer struct {
 	cfg    Config
 	pricer stepPricer
 
-	// scratch reused across runs. The dense slices back dpt/topt when the
-	// session's sizing is dense; sparse runs allocate fresh tables per run.
-	dp        []dpEntry    // dense left-deep / bushy DP backing, indexed by RelSet
-	top       [][]topEntry // dense top-c backing, indexed by RelSet
-	dpt       dpTab        // the current run's DP table
-	topt      topTab       // the current run's top-c table
-	scanTops  [][]topEntry // per-relation sorted access paths (top-c)
-	scanTopsC int          // the c scanTops was truncated to
+	// scratch reused across runs: the DP tables (reset at the start of
+	// each run) and the per-relation access-path lists.
+	dpt       subsetTab[dpEntry]    // left-deep / bushy DP (nil node = unsolved)
+	topt      subsetTab[[]topEntry] // top-c lists (Algorithm B)
+	scanTops  [][]topEntry          // per-relation sorted access paths (top-c)
+	scanTopsC int                   // the c scanTops was truncated to
 
 	// tier is the current run's tiered-planning outcome (see tier.go), cert
 	// the gap certificate the left-deep DP may still clear, and ladderLB
@@ -341,44 +339,6 @@ func (o *Optimizer) phaseDists() []*stats.Dist {
 	default:
 		panic(fmt.Sprintf("opt: coster %T has no phase-distribution form", o.cfg.Coster))
 	}
-}
-
-// dpTable returns the cleared DP table for a run (node == nil marks an
-// unsolved subset). Dense sizing reuses the 2^n backing slice across runs;
-// sparse sizing allocates a table proportional to the enumerator's
-// prediction — an n=30 chain run costs hundreds of entries, not 2^30.
-func (o *Optimizer) dpTable(n int) *dpTab {
-	if o.ctx.sizing.dense {
-		size := 1 << uint(n)
-		if cap(o.dp) < size {
-			o.dp = make([]dpEntry, size)
-		} else {
-			o.dp = o.dp[:size]
-			clear(o.dp)
-		}
-		o.dpt = dpTab{dense: o.dp}
-	} else {
-		o.dpt = dpTab{sparse: newSparseTab[dpEntry](o.ctx.sizing.predict)}
-	}
-	return &o.dpt
-}
-
-// topTable returns the cleared top-c list table, with the same dense/sparse
-// split as dpTable.
-func (o *Optimizer) topTable(n int) *topTab {
-	if o.ctx.sizing.dense {
-		size := 1 << uint(n)
-		if cap(o.top) < size {
-			o.top = make([][]topEntry, size)
-		} else {
-			o.top = o.top[:size]
-			clear(o.top)
-		}
-		o.topt = topTab{dense: o.top}
-	} else {
-		o.topt = topTab{sparse: newSparseTab[[]topEntry](o.ctx.sizing.predict)}
-	}
-	return &o.topt
 }
 
 // scanLists returns the per-relation access-path lists sorted ascending by

@@ -8,11 +8,14 @@ package opt
 //     cross-join-free the connected enumerator finds the *same* winner at
 //     the same cost;
 //   - the skipped/enumerated counters partition the lattice exactly;
-//   - memo sizing follows the enumerator's prediction, and table backings
-//     stay unallocated until first use.
+//   - the per-subset tables pick their layout from the relation count and
+//     their entry count, and stay unallocated until first use.
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/plan"
@@ -170,72 +173,185 @@ func TestFaultMatrixConnected(t *testing.T) {
 	runFaultMatrix(t, Options{Enumeration: EnumConnected}, 9401, 7, workload.Cycle)
 }
 
-// TestMemoSizingPolicy checks the enumerator-driven dense/sparse split:
-// small n stays dense for both enumerators, a large sparse graph under the
-// connected enumerator gets a sparse table sized by the csg count, and the
-// exhaustive enumerator keeps its dense representation up to the ceiling.
+// TestMemoSizingPolicy pins the per-subset tables' three-band layout rule:
+// dense on first write up to denseSmallMaxRels relations; sparse on first
+// write up to denseMemoMaxRels, moving to dense once the table holds 2^n/8
+// entries; always sparse past that. Through whole runs: an exhaustive or
+// clique DP goes dense, a connected chain DP and the greedy tier's probe
+// stay sparse.
 func TestMemoSizingPolicy(t *testing.T) {
-	sizing := func(t *testing.T, n int, shape workload.Topology, e Enumeration) memoSizing {
-		t.Helper()
-		cat, q := randInstance(t, 9500+int64(n), n, shape, false)
-		ctx, err := NewContext(cat, q, Options{Enumeration: e})
-		if err != nil {
-			t.Fatalf("NewContext: %v", err)
+	fill := func(tab *subsetTab[float64], count int) {
+		for k := 0; k < count; k++ {
+			tab.put(query.RelSet(k), 1)
 		}
-		return ctx.sizing
+	}
+	for _, n := range []int{1, 8, denseSmallMaxRels} {
+		tab := nanTab(n)
+		tab.put(query.NewRelSet(0), 1)
+		if tab.dense == nil || len(tab.dense) != 1<<uint(n) {
+			t.Errorf("n=%d: first write left the table sparse, want dense", n)
+		}
+	}
+	for _, n := range []int{denseSmallMaxRels + 1, 16, denseMemoMaxRels} {
+		tab := nanTab(n)
+		tab.put(query.NewRelSet(0), 1)
+		if tab.sparse == nil || len(tab.sparse.keys) != len(newSparseTab[float64](n*(n+1)/2).keys) {
+			t.Fatalf("n=%d: first write did not start a chain-sized sparse table", n)
+		}
+		at := 1 << uint(n) / 8
+		fill(tab, at-1)
+		if tab.dense != nil {
+			t.Errorf("n=%d: dense after %d entries, want sparse below %d", n, at-1, at)
+		}
+		fill(tab, at)
+		if tab.dense == nil || tab.sparse != nil {
+			t.Errorf("n=%d: sparse after %d entries, want dense", n, at)
+		}
+	}
+	for _, n := range []int{denseMemoMaxRels + 1, 24} {
+		tab := nanTab(n)
+		fill(tab, 1<<uint(denseMemoMaxRels)/8)
+		if tab.sparse == nil || tab.dense != nil {
+			t.Errorf("n=%d: went dense, want always sparse", n)
+		}
 	}
 
-	if sz := sizing(t, 8, workload.Chain, EnumExhaustive); !sz.dense || sz.predict != 1<<8 {
-		t.Errorf("exhaustive n=8: sizing %+v, want dense with predict 256", sz)
+	dm := tierBenchDist()
+	run := func(t *testing.T, n int, shape workload.Topology, opts Options) *Optimizer {
+		t.Helper()
+		cat, q := randInstance(t, 9500+int64(n), n, shape, false)
+		eng, err := NewOptimizer(cat, q, opts, Config{Coster: StaticParams{Mem: dm}})
+		if err != nil {
+			t.Fatalf("NewOptimizer: %v", err)
+		}
+		if _, err := eng.Optimize(); err != nil {
+			t.Fatalf("Optimize: %v", err)
+		}
+		return eng
 	}
-	if sz := sizing(t, 8, workload.Chain, EnumConnected); !sz.dense {
-		t.Errorf("connected n=8 (small): sizing %+v, want dense", sz)
+	// A 14-relation exhaustive sweep and a 14-relation clique's connected
+	// family both touch the whole lattice.
+	for _, opts := range []Options{{}, {Enumeration: EnumConnected}} {
+		shape := workload.Chain
+		if opts.Enumeration == EnumConnected {
+			shape = workload.Clique
+		}
+		eng := run(t, 14, shape, opts)
+		if eng.ctx.subsetRows.dense == nil || eng.dpt.dense == nil {
+			t.Errorf("%v n=14 %v: DP tables sparse, want dense", opts.Enumeration, shape)
+		}
 	}
-	if sz := sizing(t, 20, workload.Chain, EnumExhaustive); !sz.dense {
-		t.Errorf("exhaustive n=20: sizing %+v, want dense (at the ceiling)", sz)
+	// A 16-chain has 136 connected subsets of 65536.
+	eng := run(t, 16, workload.Chain, Options{Enumeration: EnumConnected})
+	if eng.ctx.subsetRows.sparse == nil || eng.dpt.sparse == nil {
+		t.Error("connected n=16 chain: DP tables dense, want sparse")
 	}
-	// A 24-relation chain has 300 connected subsets in a 16M lattice: the
-	// connected enumerator must size a sparse table from the csg count.
-	if sz := sizing(t, 24, workload.Chain, EnumConnected); sz.dense || sz.predict != 24*25/2 {
-		t.Errorf("connected n=24 chain: sizing %+v, want sparse with predict 300", sz)
-	}
-	// The same 24 relations exhaustively: past the dense ceiling.
-	if sz := sizing(t, 24, workload.Chain, EnumExhaustive); sz.dense {
-		t.Errorf("exhaustive n=24: sizing %+v, want sparse", sz)
-	}
-	// A clique's connected family IS the full lattice — dense up to the
-	// ceiling even under the connected enumerator.
-	if sz := sizing(t, 14, workload.Clique, EnumConnected); !sz.dense {
-		t.Errorf("connected n=14 clique: sizing %+v, want dense (lattice is fully connected)", sz)
+	// The greedy tier touches O(n²) subsets of the 2^20 lattice.
+	eng = run(t, 20, workload.Star, Options{Tier: TierGreedy})
+	if eng.ctx.subsetRows.sparse == nil || eng.ctx.subsetPages.sparse == nil {
+		t.Error("greedy tier n=20: size memos dense, want sparse")
 	}
 }
 
 // TestMemoLazyAllocation: table backings must not be allocated before first
 // use — the satellite fix for the old always-2^n allocation in NewContext.
 func TestMemoLazyAllocation(t *testing.T) {
-	dense := newFloatMemo(memoSizing{n: 10, dense: true, predict: 1 << 10})
+	dense := nanTab(10)
 	if dense.dense != nil {
-		t.Fatal("dense floatMemo allocated its backing before first put")
+		t.Fatal("10-relation table allocated its backing before first put")
 	}
-	if _, ok := dense.get(query.NewRelSet(3)); ok {
-		t.Fatal("empty memo reported a hit")
+	if v := dense.get(query.NewRelSet(3)); !math.IsNaN(v) {
+		t.Fatalf("empty table read %v, want NaN", v)
 	}
 	dense.put(query.NewRelSet(3), 42)
-	if v, ok := dense.get(query.NewRelSet(3)); !ok || v != 42 {
-		t.Fatalf("dense memo get = %v,%v after put", v, ok)
+	if v := dense.get(query.NewRelSet(3)); v != 42 {
+		t.Fatalf("dense get = %v after put", v)
+	}
+	if v := dense.get(query.NewRelSet(4)); !math.IsNaN(v) {
+		t.Fatalf("dense get of an unset subset = %v, want NaN", v)
 	}
 
-	sparse := newFloatMemo(memoSizing{n: 25, dense: false, predict: 325})
+	sparse := nanTab(25)
 	if sparse.sparse != nil {
-		t.Fatal("sparse floatMemo allocated its backing before first put")
+		t.Fatal("25-relation table allocated its backing before first put")
 	}
 	big := query.FullSet(25).Without(3)
 	sparse.put(big, 7)
-	if v, ok := sparse.get(big); !ok || v != 7 {
-		t.Fatalf("sparse memo get = %v,%v after put", v, ok)
+	if v := sparse.get(big); v != 7 {
+		t.Fatalf("sparse get = %v after put", v)
 	}
-	if _, ok := sparse.get(query.FullSet(25)); ok {
-		t.Fatal("sparse memo false hit")
+	if v := sparse.get(query.FullSet(25)); !math.IsNaN(v) {
+		t.Fatalf("sparse get of an unset subset = %v, want NaN", v)
+	}
+}
+
+// TestSubsetTabMatchesMap drives random put, get and accumulate operations
+// against a map oracle in each layout band. The 14-relation table crosses
+// the move to dense mid-stream, where every entry written so far must
+// survive; ascendingSum must equal the oracle's ascending-order sum bit for
+// bit.
+func TestSubsetTabMatchesMap(t *testing.T) {
+	for _, n := range []int{8, 14, 24} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		tab := &subsetTab[float64]{n: n}
+		oracle := map[query.RelSet]float64{}
+		// Keys come from a pool twice the size of the dense threshold, so
+		// the 14-relation table passes it part way through.
+		pool := 1 << uint(n)
+		if n > denseSmallMaxRels {
+			pool = 2 * (1 << uint(14) / 8)
+		}
+		key := func() query.RelSet {
+			return query.RelSet(rng.Intn(pool) * (1 << uint(n) / pool))
+		}
+		check := func(when string) {
+			for k, want := range oracle {
+				if got := tab.get(k); got != want {
+					t.Fatalf("n=%d %s: get(%v) = %v, want %v", n, when, k, got, want)
+				}
+			}
+		}
+		wasDense := false
+		for op := 0; op < 6000; op++ {
+			k := key()
+			switch rng.Intn(3) {
+			case 0:
+				v := rng.Float64() * 100
+				tab.put(k, v)
+				oracle[k] = v
+			case 1:
+				v := rng.Float64()
+				*tab.ref(k) += v
+				oracle[k] += v
+			default:
+				if got := tab.get(k); got != oracle[k] {
+					t.Fatalf("n=%d op %d: get(%v) = %v, want %v", n, op, k, got, oracle[k])
+				}
+			}
+			if !wasDense && tab.dense != nil {
+				wasDense = true
+				check(fmt.Sprintf("after the move to dense at op %d", op))
+			}
+		}
+		check("at the end")
+		if len(oracle) < pool/2 {
+			t.Fatalf("n=%d: only %d distinct subsets written", n, len(oracle))
+		}
+		if want := n <= 20; wasDense != want {
+			t.Errorf("n=%d: dense = %v, want %v", n, wasDense, want)
+		}
+		keys := make([]query.RelSet, 0, len(oracle))
+		for k := range oracle {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		want := 0.0
+		for _, k := range keys {
+			want += oracle[k]
+		}
+		if got := ascendingSum(tab); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("n=%d: ascendingSum = %v, want %v bit for bit", n, got, want)
+		}
 	}
 }
 
@@ -244,6 +360,11 @@ func TestMemoLazyAllocation(t *testing.T) {
 func TestSparseTabStress(t *testing.T) {
 	tab := newSparseTab[int](4)
 	oracle := map[query.RelSet]int{}
+	put := func(s query.RelSet, v int) {
+		p, _ := tab.ref(s)
+		*p = v
+		oracle[s] = v
+	}
 	// Clustered keys: every connected subset of a 16-chain plus a stride.
 	g := query.NewGraph(16)
 	for i := 0; i < 15; i++ {
@@ -252,17 +373,14 @@ func TestSparseTabStress(t *testing.T) {
 	e := query.NewCsgEnum(g)
 	for d := 1; d <= 16; d++ {
 		for _, s := range e.Level(d) {
-			tab.put(s, int(s)*3)
-			oracle[s] = int(s) * 3
+			put(s, int(s)*3)
 		}
 	}
 	for i := 0; i < 1000; i += 7 {
-		s := query.RelSet(i)
-		tab.put(s, i)
-		oracle[s] = i
+		put(query.RelSet(i), i)
 	}
-	if tab.len() != len(oracle) {
-		t.Fatalf("sparseTab len %d != oracle %d", tab.len(), len(oracle))
+	if tab.used != len(oracle) {
+		t.Fatalf("sparseTab holds %d entries, oracle %d", tab.used, len(oracle))
 	}
 	for s, want := range oracle {
 		if got, ok := tab.get(s); !ok || got != want {

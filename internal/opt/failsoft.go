@@ -389,7 +389,7 @@ func (o *Optimizer) traceSnapshot() *obs.Trace {
 		return nil
 	}
 	t := o.ctx.trace.Snapshot()
-	t.BucketErrBound = o.ctx.bucketErr.total()
+	t.BucketErrBound = ascendingSum(o.ctx.bucketErr)
 	return t
 }
 

@@ -11,54 +11,6 @@ import (
 	"repro/internal/stats"
 )
 
-// errMemo accumulates the per-subset equi-depth bucketing error
-// contributions (Algorithm D's rebucket spread bounds). A subset's
-// contribution depends only on the subset, so keeping the terms per subset
-// and summing them in ascending subset order makes the session total
-// independent of the order the search first computes them in. Storage
-// mirrors floatMemo: sized by the
-// enumerator's prediction, lazily allocated on first add.
-type errMemo struct {
-	sz     memoSizing
-	dense  []float64
-	sparse *sparseTab[float64]
-}
-
-// add accumulates v into subset s's slot.
-func (m *errMemo) add(s query.RelSet, v float64) {
-	if m.dense == nil && m.sparse == nil {
-		if m.sz.dense {
-			m.dense = make([]float64, 1<<uint(m.sz.n))
-		} else {
-			m.sparse = newSparseTab[float64](m.sz.predict)
-		}
-	}
-	if m.dense != nil {
-		m.dense[s] += v
-		return
-	}
-	*m.sparse.ref(s) += v
-}
-
-// total sums the contributions in ascending subset order.
-func (m *errMemo) total() float64 {
-	t := 0.0
-	if m.dense != nil {
-		for _, v := range m.dense {
-			t += v
-		}
-		return t
-	}
-	if m.sparse == nil {
-		return 0
-	}
-	for _, k := range m.sparse.keysSorted() {
-		v, _ := m.sparse.get(k)
-		t += v
-	}
-	return t
-}
-
 // This file is the engine's observability glue: flushing per-run counter
 // deltas and phase timings to the Options.Metrics bundle, snapshotting the
 // decision-trace recorder onto Results, and accumulating the equi-depth
@@ -74,7 +26,7 @@ func (ctx *Context) beginObs() {
 	ctx.runStart = time.Now()
 	ctx.costingNanos = 0
 	ctx.bucketingNanos = 0
-	ctx.bucketErrMark = ctx.bucketErr.total()
+	ctx.bucketErrMark = ascendingSum(ctx.bucketErr)
 }
 
 // flushMetrics observes one finished run on the metrics bundle: phase
@@ -96,13 +48,6 @@ func (ctx *Context) flushMetrics() {
 	m.EnumerationSeconds.Observe(enum)
 	m.CostingSeconds.Observe(costing)
 	m.BucketingSeconds.Observe(bucketing)
-	// Per-enumerator phase mirrors — the registry's label-free encoding of
-	// the enumerator label on phase timings.
-	if ph := m.Phase(ctx.enumEff == EnumConnected); ph != nil {
-		ph.EnumerationSeconds.Observe(enum)
-		ph.CostingSeconds.Observe(costing)
-		ph.BucketingSeconds.Observe(bucketing)
-	}
 	d, mark := ctx.Count, ctx.metricsMark
 	m.Runs.Inc()
 	m.CostEvals.Add(float64(d.CostEvals - mark.CostEvals))
@@ -119,7 +64,7 @@ func (ctx *Context) flushMetrics() {
 		m.Tier.GreedyServed.Add(float64(d.TierGreedyServed - mark.TierGreedyServed))
 		m.Tier.Escalations.Add(float64(d.TierEscalations - mark.TierEscalations))
 	}
-	bErr := ctx.bucketErr.total()
+	bErr := ascendingSum(ctx.bucketErr)
 	m.BucketErrBound.Add(bErr - ctx.bucketErrMark)
 	// Re-mark so a session that flushes twice (e.g. a bucket loop followed
 	// by an aggregation) never double-counts a delta.
@@ -139,7 +84,7 @@ func (ctx *Context) attachTrace(res *Result) {
 	if res.Degraded {
 		t.Reason = res.Reason.String()
 	}
-	t.BucketErrBound = ctx.bucketErr.total()
+	t.BucketErrBound = ascendingSum(ctx.bucketErr)
 	res.Trace = t
 }
 
@@ -152,9 +97,9 @@ func (ctx *Context) accumBucketErr(s query.RelSet, da, db, sel *stats.Dist) {
 		return
 	}
 	bx, by, bz := stats.RebucketBudget3(budget)
-	ctx.bucketErr.add(s, stats.RebucketErrorBound(da, bx)+
-		stats.RebucketErrorBound(db, by)+
-		stats.RebucketErrorBound(sel, bz))
+	*ctx.bucketErr.ref(s) += stats.RebucketErrorBound(da, bx) +
+		stats.RebucketErrorBound(db, by) +
+		stats.RebucketErrorBound(sel, bz)
 }
 
 // traceWatch tracks, for one relation subset, the best and second-best

@@ -125,7 +125,7 @@ func (o *Optimizer) adopt(rc context.Context) {
 	sc := getScratch()
 	o.sc = sc
 	o.ctx.arena = sc.arena
-	o.dp, o.top = sc.dp, sc.top
+	o.dpt.spare, o.topt.spare = sc.dp, sc.top
 	o.ctx.subsetRows.spare, o.ctx.subsetPages.spare = sc.rows, sc.pages
 	l.sessions = append(l.sessions, o)
 }
@@ -147,9 +147,9 @@ func (l *lease) release(ok bool) {
 // scratch and must not run again.
 func (o *Optimizer) releaseScratch(ok bool) {
 	sc, ctx := o.sc, o.ctx
-	sc.dp, sc.top = o.dp, o.top
+	sc.dp, sc.top = o.dpt.backing(), o.topt.backing()
 	sc.rows, sc.pages = ctx.subsetRows.backing(), ctx.subsetPages.backing()
-	o.sc, o.dp, o.top, o.dpt, o.topt = nil, nil, nil, dpTab{}, topTab{}
+	o.sc, o.dpt, o.topt = nil, subsetTab[dpEntry]{}, subsetTab[[]topEntry]{}
 	ctx.arena, ctx.subsetRows, ctx.subsetPages = nil, nil, nil
 	if ok && ctx.reusable() {
 		putScratch(sc)

@@ -185,11 +185,6 @@ type tierCert struct {
 func (o *Optimizer) tierGate() (*Result, bool) {
 	ctx := o.ctx
 
-	// The greedy probe touches O(n²) subsets; keep the size memos sparse
-	// for its duration so the fast path never pays the dense 2^n fill.
-	// The memos settle back before the DP's full sweep.
-	ctx.beginSizeProbe()
-
 	// Configurations without greedy scoring: the risk objectives price
 	// certainty equivalents and variance penalties the greedy arithmetic
 	// does not reproduce, and under TierAuto the multi-parameter coster's
@@ -265,9 +260,6 @@ func (o *Optimizer) tierCertify(open bool, lb float64) *Result {
 		o.cert = tierCert{}
 		return o.tierServe(gp, TierCertified, tierGapOf(gp.cost, lb), o.tier.greedyNanos)
 	}
-	// The DP goes on past this level: give it the dense memos it was sized
-	// for (a no-op after the first call).
-	o.ctx.endSizeProbe()
 	return nil
 }
 
@@ -279,7 +271,6 @@ func (o *Optimizer) tierEndDP(res *Result) {
 	}
 	o.cert = tierCert{}
 	o.ctx.Count.TierEscalations++
-	o.ctx.endSizeProbe()
 	if res != nil {
 		res.Count = o.ctx.snapshotCount()
 	}
@@ -303,9 +294,6 @@ func (o *Optimizer) tierServe(gp tierPlan, reason string, gap float64, nanos int
 func (o *Optimizer) tierEscalate(reason string, gap, greedyCost float64, nanos int64) {
 	o.tier = tierState{tier: TierNameDP, reason: reason, gap: gap, greedyCost: greedyCost, greedyNanos: nanos, dpStart: time.Now()}
 	o.ctx.Count.TierEscalations++
-	// The DP sweeps the full lattice: migrate any probe-phase memo entries
-	// back into the dense layout the sizing chose.
-	o.ctx.endSizeProbe()
 }
 
 // stampTier copies the gate's outcome onto the Result and records the
@@ -338,8 +326,6 @@ func (o *Optimizer) stampTier(res *Result) {
 	}
 	tm.DPSeconds.Observe(time.Since(t.dpStart).Seconds())
 	switch t.reason {
-	case TierForced:
-		tm.EscalationForced.Inc()
 	case TierEscGap:
 		tm.EscalationGap.Inc()
 	case TierEscObjective:
@@ -588,7 +574,7 @@ func (o *Optimizer) tierLowerBound(w []float64) float64 {
 // levelBound returns LB_k over the complete level k of a left-deep DP
 // table: min over the level's solved subsets S of OPT(S) + restBound(S).
 // Level 1 holds the access paths, so levelBound(tab, 1, w) is LB_1.
-func (o *Optimizer) levelBound(tab *dpTab, k int, w []float64) float64 {
+func (o *Optimizer) levelBound(tab *subsetTab[dpEntry], k int, w []float64) float64 {
 	lb := math.Inf(1)
 	o.ctx.levelSubsets(k, func(s query.RelSet) {
 		if e := tab.get(s); e.node != nil {
@@ -606,7 +592,7 @@ func (o *Optimizer) levelBound(tab *dpTab, k int, w []float64) float64 {
 // multi-parameter coster price DP entries in other units than the greedy
 // plan's expected cost, and a run that discarded non-finite candidates may
 // be missing entries.
-func (o *Optimizer) checkedBound(tab *dpTab, k int) float64 {
+func (o *Optimizer) checkedBound(tab *subsetTab[dpEntry], k int) float64 {
 	if _, ok := o.cfg.objective().(ExpectedCost); !ok || o.ctx.sawNonFinite() {
 		return 0
 	}

@@ -160,24 +160,6 @@ func (e *CsgEnum) Level(k int) []RelSet {
 	return e.levels[k]
 }
 
-// CountAtMost returns the total number of non-empty connected subsets,
-// stopping early once the running total reaches limit (in which case limit
-// is returned). Memo sizing uses this to bound how much of the lattice is
-// materialized just to pick a table representation.
-func (e *CsgEnum) CountAtMost(limit int) int {
-	total := 0
-	for k := 1; k <= e.g.n; k++ {
-		total += len(e.Level(k))
-		if total >= limit {
-			return limit
-		}
-		if len(e.levels[k]) == 0 {
-			break // expansion of an empty level stays empty
-		}
-	}
-	return total
-}
-
 func (e *CsgEnum) ensure(k int) {
 	for lvl := 2; lvl <= k; lvl++ {
 		if e.levels[lvl] != nil {
